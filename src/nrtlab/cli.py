@@ -39,11 +39,11 @@ from .indicator import (
     IndicatorCurve,
     OriginOnBoundaryError,
     Verdict,
-    attach_verdict,
     blow_up_diagnostic,
     indicator_sweep,
     runge_fit,
     scaled_sequence,
+    validate_orders,
 )
 from . import svgplot
 
@@ -142,10 +142,10 @@ def _validate_common(cfg: RunConfig) -> None:
         cfg.seed = int(cfg.seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numeric config value: {exc}") from exc
-    if cfg.boundary_radius <= 1.0:
-        raise ConfigError(f"boundary_radius must exceed 1 (the unit cavity radius), got {cfg.boundary_radius}")
-    if cfg.eps <= 0.0:
-        raise ConfigError(f"eps must be positive, got {cfg.eps}")
+    if not (np.isfinite(cfg.boundary_radius) and cfg.boundary_radius > 1.0):
+        raise ConfigError(f"boundary_radius must be finite and exceed 1 (the unit cavity radius), got {cfg.boundary_radius}")
+    if not (np.isfinite(cfg.eps) and cfg.eps > 0.0):
+        raise ConfigError(f"eps must be positive and finite, got {cfg.eps}")
 
 
 def _parse_region(entry: dict, boundary_radius: float, label: str) -> tuple[DiskRegion, str | None]:
@@ -276,9 +276,10 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Sweep the constrained sup over cutoff orders for each test region."""
     if not cfg.regions:
         raise ConfigError("regions must be a nonempty list")
-    orders = [int(n) for n in cfg.orders]
-    if len(orders) == 0 or any(n < 1 for n in orders):
-        raise ConfigError(f"orders must be a nonempty list of positive integers, got {cfg.orders}")
+    try:
+        orders = validate_orders(cfg.orders)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     parsed = [_parse_region(entry, cfg.boundary_radius, f"regions[{i}]") for i, entry in enumerate(cfg.regions)]
 
     rows = []
@@ -306,15 +307,15 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
             soft_flags.append(f"region {idx} refused: origin on boundary")
             continue
         curves.append((label, curve))
-        for res in curve.details:
+        for order, value in zip(orders, curve.values):
             rows.append(
                 {
                     "region": label,
-                    "N_or_t": res.order,
-                    "eps": res.eps,
-                    "value": res.value,
-                    "cond_Q": res.cond,
-                    "discarded_share": res.discarded_share,
+                    "N_or_t": order,
+                    "eps": curve.eps,
+                    "value": value,
+                    "cond_Q": "",
+                    "discarded_share": "",
                     "verdict": curve.verdict.value,
                 }
             )
@@ -325,7 +326,6 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
                 "verdict": curve.verdict.value,
                 "values": list(curve.values),
                 "growth_ratios": list(curve.growth_ratios),
-                "unbounded_flags": [r.unbounded for r in curve.details],
             }
         )
         if expect is not None and curve.verdict.value != expect:
@@ -415,7 +415,6 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
     curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.array(pairings), eps=cfg.eps)
     verdict = blow_up_diagnostic(curve)
-    curve = attach_verdict(curve, verdict)
     for row in rows:
         row["verdict"] = verdict.value
     soft_flags = []

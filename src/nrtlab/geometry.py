@@ -186,9 +186,6 @@ class QuadratureRule:
             raise ValueError(f"values shape {values.shape} does not match rule size {self.size}")
         return float(self.weights @ values)
 
-    def integrate_fn(self, fn) -> float:
-        return self.integrate(fn(self.nodes))
-
 
 def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: int) -> QuadratureRule:
     """Tensor rule on a disk: Gauss-Jacobi in radius, trapezoid in angle.

@@ -70,10 +70,6 @@ class BoundaryData:
         return self.cos_coeff.size - 1
 
     @classmethod
-    def zero(cls, order: int) -> "BoundaryData":
-        return cls(np.zeros(order + 1), np.zeros(order + 1))
-
-    @classmethod
     def mode(cls, order: int, kind: str = "cos", amplitude: float = 1.0) -> "BoundaryData":
         """Single Fourier mode amplitude*cos(n t) or amplitude*sin(n t)."""
         if order < 0:

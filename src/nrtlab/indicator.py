@@ -13,16 +13,24 @@ b^T c, so the sup equals eps * sqrt(b^T Q^+ b).  Whether the sup stays
 bounded or grows without bound as N increases is exactly what separates
 regions that do or do not feel the cavity.
 
+On a disk G = disk(c, rho) the sup has a closed form.  The harmonic
+polynomials of degree <= N are also spanned by 1 and Re/Im (z - c)^k,
+k = 1..N, which are orthogonal in H1(G), so the sup is the positive
+series eps * sqrt(sum_i l(e_i)^2 / ||e_i||^2) with no cancellation.
+Sweeps evaluate that series in log space; the quadrature Gram matrix
+and its pseudo-inverse sup stay as a low-order reference.
+
 The module provides the Gram assembly, the pseudo-inverse sup with its
-discarded-mass diagnostics, sweeps over N with a verdict, the
-log-potential fit that drives the blow-up route, and a slope-based
-diagnostic for curves of indicator values.
+discarded-mass diagnostics, the exact series sweep over N with a
+verdict, the log-potential fit that drives the blow-up route, and a
+slope-based diagnostic for curves of indicator values.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +53,9 @@ from .harmonic import (
 # which the sup is flagged as unbounded within the current order.
 EIGEN_FLOOR = 1e-12
 UNBOUNDED_SHARE = 1e-8
+# Largest cutoff order a sweep accepts.  The series costs O(N), so the
+# cap bounds the run time of every sweep.
+MAX_SWEEP_ORDER = 1024
 
 
 class Verdict(enum.Enum):
@@ -311,7 +322,6 @@ class IndicatorCurve:
     values: np.ndarray
     eps: float
     verdict: Verdict | None = None
-    details: tuple[SupResult, ...] | None = None
 
     def __post_init__(self):
         if self.parameter not in ("N", "t"):
@@ -333,60 +343,134 @@ class IndicatorCurve:
             return np.where(prev != 0.0, self.values[1:] / prev, np.nan)
 
 
-def indicator_sweep(
-    cavity: DiskRegion,
-    boundary_radius: float,
-    eps: float,
-    orders,
-    w_trace: BoundaryData | None = None,
-    eigen_floor: float = EIGEN_FLOOR,
-) -> IndicatorCurve:
-    """Run the constrained sup over a list of increasing cutoff orders.
+def validate_orders(orders) -> list[int]:
+    """Cutoff orders as a list of ints, checked to be a sweep's order grid.
 
-    Refuses regions whose boundary passes through the origin; there the
-    bounded/blow-up dichotomy is not defined.  The verdict is BlowUp
-    when any order flags unbounded b-mass or the last value at least
-    doubles the first, Bounded when the last three values agree to 10
-    percent, Inconclusive otherwise (and always with fewer than three
-    orders, unless an unbounded flag already decided it).
+    The grid must be a nonempty, strictly increasing sequence of
+    integers in [1, MAX_SWEEP_ORDER]; anything else raises ValueError.
     """
-    orders = [int(n) for n in orders]
-    if len(orders) == 0 or any(b <= a for a, b in zip(orders, orders[1:])):
-        raise ValueError(f"orders must be a nonempty increasing sequence, got {orders}")
+    try:
+        raw = list(orders)
+        checked = [int(n) for n in raw]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"orders must be a list of integers, got {orders!r}") from exc
+    if (
+        not checked
+        or any(n != r for n, r in zip(checked, raw))
+        or checked[0] < 1
+        or checked[-1] > MAX_SWEEP_ORDER
+        or any(b <= a for a, b in zip(checked, checked[1:]))
+    ):
+        raise ValueError(
+            f"orders must be a nonempty increasing sequence of integers in [1, {MAX_SWEEP_ORDER}], got {raw!r}"
+        )
+    return checked
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    top = float(np.max(x))
+    if not np.isfinite(top):
+        return top
+    return top + float(np.log(np.sum(np.exp(x - top))))
+
+
+def _series_log_terms(cavity: DiskRegion, boundary_radius: float, order: int) -> np.ndarray:
+    """log(l(e)^2 / ||e||^2_H1(G)) per orthogonal order k = 0..order on the disk G.
+
+    Entry 0 is the constant e_0 = 1 with ||e_0||^2 = D_0 = pi rho^2; entry
+    k >= 1 sums the pair Re/Im (z - c)^k, both of squared norm
+    D_k = pi rho^2k (k + rho^2 / (2 (k + 1))), into |mu_k|^2 / D_k with
+    mu_k = l(Re (z - c)^k) + i l(Im (z - c)^k).  With omega_n = l(Re z^n)
+    + i l(Im z^n), read off the explicit cavity's gap trace, the binomial
+    expansion gives mu_k = sum_n C(k, n) (-c)^(k - n) omega_n.  Everything
+    is kept in logs, since off the origin mu_k grows like |c|^k.  A term
+    whose pairing vanishes is -inf.
+    """
+    R = float(boundary_radius)
+    w = gap_neumann_trace(annulus_neumann_solution(R), R)
+    n_all = np.arange(w.max_order + 1)
+    omega = np.pi * R ** (n_all + 1.0) * (w.cos_coeff + 1j * w.sin_coeff)
+    omega[0] = 2.0 * np.pi * R * w.cos_coeff[0]
+    modes = [n for n in n_all if omega[n] != 0.0]
+
+    rho = cavity.radius
+    k = np.arange(order + 1)
+    minus_c = -complex(*cavity.center)
+    log_c = math.log(abs(minus_c)) if minus_c != 0.0 else -np.inf
+    log_d = np.log(np.pi) + 2.0 * k * math.log(rho) + np.log(k + rho * rho / (2.0 * (k + 1.0)))
+    log_d[0] = math.log(np.pi * rho * rho)
+    # One row per nonzero mode n: log |C(k, n) (-c)^(k - n) omega_n| and its phase.
+    log_mag = np.full((len(modes), k.size), -np.inf)
+    phase = np.zeros((len(modes), k.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row, n in enumerate(modes):
+            ks = k[n:]
+            log_binom = np.sum(np.log(ks[:, None] - np.arange(n)), axis=1) - math.lgamma(n + 1)
+            power = np.where(ks == n, 0.0, (ks - n) * log_c)
+            log_mag[row, n:] = log_binom + power + math.log(abs(omega[n]))
+            phase[row, n:] = (ks - n) * np.angle(minus_c) + np.angle(omega[n])
+        top = np.max(log_mag, axis=0)
+        live = np.isfinite(top)
+        mu = np.sum(np.exp(log_mag[:, live] - top[live] + 1j * phase[:, live]), axis=0)
+        log_mu = np.full(k.size, -np.inf)
+        log_mu[live] = top[live] + np.log(np.abs(mu))
+    return 2.0 * log_mu - log_d
+
+
+def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orders) -> IndicatorCurve:
+    """Exact constrained sup on a disk region over increasing cutoff orders.
+
+    I_N = eps * sqrt(l(1)^2 / D_0 + sum_{k=1..N} |mu_k|^2 / D_k) in the
+    orthogonal basis of _series_log_terms, accumulated in log space over
+    the order grid, so the values stay exact until I_N itself leaves the
+    float64 range, where it rounds to inf.  Refuses regions whose
+    boundary passes through the origin; there the bounded/blow-up
+    dichotomy is not defined.
+
+    The verdict compares the mean series term over the last order window
+    (orders[-2], orders[-1]] with the mean over the window before it:
+    BlowUp if the last mean is larger, Bounded if it is smaller or both
+    windows are zero, Inconclusive if they are equal or fewer than three
+    orders are given.
+    """
+    orders = validate_orders(orders)
     where = cavity.classify_origin()
     if where is OriginLocation.BOUNDARY:
         raise OriginOnBoundaryError(
             f"boundary of disk(center={cavity.center}, radius={cavity.radius}) passes through "
             f"the origin (within relative tolerance 1e-9); the sweep verdict is undefined there"
         )
-    results = []
-    for order in orders:
-        system = assemble_gram(cavity, boundary_radius, order, w_trace=w_trace, eigen_floor=eigen_floor)
-        results.append(sup_indicator(system, eps))
-    values = np.array([r.value for r in results])
+    validate_admissible(cavity, boundary_radius)
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"constraint radius eps must be positive and finite, got {eps}")
 
-    flagged = any(r.unbounded for r in results)
-    if flagged:
-        verdict = Verdict.BLOW_UP
-    elif len(values) >= 3:
-        if values[0] > 0.0 and values[-1] >= 2.0 * values[0]:
-            verdict = Verdict.BLOW_UP
-        else:
-            tail = values[-3:]
-            top = float(tail.max())
-            if top == 0.0 or float(tail.max() - tail.min()) < 0.1 * top:
-                verdict = Verdict.BOUNDED
-            else:
-                verdict = Verdict.INCONCLUSIVE
-    else:
+    terms = _series_log_terms(cavity, boundary_radius, orders[-1])
+    starts = [0] + [n + 1 for n in orders[:-1]]
+    blocks = np.array([_logsumexp(terms[a : n + 1]) for a, n in zip(starts, orders)])
+    log_sq = np.logaddexp.accumulate(blocks)
+    with np.errstate(over="ignore"):
+        gain = np.exp(0.5 * log_sq)
+        # eps * gain keeps the value exactly linear in eps; only where the
+        # gain alone overflows is eps folded into the exponent instead.
+        values = np.where(np.isfinite(gain), eps * gain, np.exp(math.log(eps) + 0.5 * log_sq))
+
+    if len(orders) < 3:
         verdict = Verdict.INCONCLUSIVE
+    else:
+        before = blocks[-2] - math.log(orders[-2] - orders[-3])
+        last = blocks[-1] - math.log(orders[-1] - orders[-2])
+        if last > before:
+            verdict = Verdict.BLOW_UP
+        elif last < before or last == -np.inf:
+            verdict = Verdict.BOUNDED
+        else:
+            verdict = Verdict.INCONCLUSIVE
     return IndicatorCurve(
         parameter="N",
         grid=np.array(orders, dtype=float),
         values=values,
         eps=float(eps),
         verdict=verdict,
-        details=tuple(results),
     )
 
 
@@ -582,7 +666,3 @@ def blow_up_diagnostic(
     if abs(slope) <= flat_threshold:
         return Verdict.BOUNDED
     return Verdict.INCONCLUSIVE
-
-
-def attach_verdict(curve: IndicatorCurve, verdict: Verdict) -> IndicatorCurve:
-    return replace(curve, verdict=verdict)

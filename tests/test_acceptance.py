@@ -6,7 +6,6 @@ scorecard, so a plain pytest run always shows one line per criterion.
 """
 
 import numpy as np
-from numpy.linalg import eigh
 
 from nrtlab import (
     CircleContour,
@@ -15,7 +14,6 @@ from nrtlab import (
     IndicatorCurve,
     Verdict,
     annulus_neumann_solution,
-    assemble_gram,
     blow_up_diagnostic,
     boundary_pairing,
     build_disk_quadrature,
@@ -35,7 +33,6 @@ from nrtlab import (
     scaled_sequence,
     sign_indefiniteness_certificate,
     sign_map,
-    sup_indicator,
 )
 
 R = 2.0
@@ -83,10 +80,9 @@ def test_criterion_3_bounded_region_plateau():
     curve = indicator_sweep(BOUNDED_REGION, R, EPS, ORDERS)
     tail = curve.values[-3:]
     spread = float((tail.max() - tail.min()) / tail.max())
-    system = assemble_gram(BOUNDED_REGION, R, 32)
-    base = sup_indicator(system, EPS).value
-    rel2 = abs(sup_indicator(system, 2 * EPS).value - 2 * base) / (2 * base)
-    rel10 = abs(sup_indicator(system, 10 * EPS).value - 10 * base) / (10 * base)
+    base = curve.values
+    rel2 = np.max(np.abs(indicator_sweep(BOUNDED_REGION, R, 2 * EPS, ORDERS).values - 2 * base) / (2 * base))
+    rel10 = np.max(np.abs(indicator_sweep(BOUNDED_REGION, R, 10 * EPS, ORDERS).values - 10 * base) / (10 * base))
     checks = [
         (curve.verdict is Verdict.BOUNDED, f"verdict {curve.verdict.value}"),
         (spread <= 0.10, f"tail spread {spread:.2%}"),
@@ -155,28 +151,58 @@ def test_criterion_6_enclosure_decay():
     _report(6, "enclosure decay", passed, "; ".join(msg for _, msg in checks))
 
 
+def _orthogonal_basis(region, order, nodes):
+    """Values, gradients and pairings of 1, Re (z - c)^k, Im (z - c)^k, k <= order.
+
+    Pairings use the gradient identity l(f) = -2 pi d/dx f(0), with
+    d/dx (z - c)^k = k (z - c)^(k-1); rows follow the order 1, Re, Im, ...
+    """
+    c = complex(*region.center)
+    s = nodes[:, 0] + 1j * nodes[:, 1] - c
+    vals, gx, gy, pairings = [np.ones(s.size)], [np.zeros(s.size)], [np.zeros(s.size)], [0.0]
+    for k in range(1, order + 1):
+        power, dpower, at_origin = s**k, k * s ** (k - 1), k * (-c) ** (k - 1)
+        vals += [power.real, power.imag]
+        gx += [dpower.real, dpower.imag]
+        gy += [-dpower.imag, dpower.real]
+        pairings += [-2.0 * np.pi * at_origin.real, -2.0 * np.pi * at_origin.imag]
+    return np.array(vals), np.array(gx), np.array(gy), np.array(pairings)
+
+
 def test_criterion_7_sup_dominates_feasible_samples():
+    # Draws on the constraint ellipse in the orthogonal basis of H1(G),
+    # with norms from quadrature and pairings from the gradient identity,
+    # so nothing here reuses the series the sweep sums.  One draw is the
+    # maximiser, which must come within 1e-6 of the sweep value.
     rng = np.random.default_rng(107)
     worst = 0.0
+    attained = np.inf
     for region in (BOUNDED_REGION, BLOWUP_REGION):
         for order in (8, 16):
-            system = assemble_gram(region, R, order)
-            value = sup_indicator(system, EPS).value
-            scale = 1.0 / np.sqrt(np.diag(system.Q))
-            S = scale[:, None] * system.Q * scale[None, :]
-            lam, U = eigh(0.5 * (S + S.T))
-            keep = lam > system.eigen_floor * lam[-1]
-            lam_k, U_k = lam[keep], U[:, keep]
-            W = rng.standard_normal((1000, lam_k.size))
+            value = indicator_sweep(region, R, EPS, [order]).values[0]
+            rule = build_disk_quadrature(region, order + 4, 2 * order + 8)
+            V, Gx, Gy, pairings = _orthogonal_basis(region, order, rule.nodes)
+            w = rule.weights
+            gram = (V * w) @ V.T + (Gx * w) @ Gx.T + (Gy * w) @ Gy.T
+            scale = 1.0 / np.sqrt(np.diag(gram))
+            W = rng.standard_normal((1000, pairings.size))
+            W[0] = pairings * scale
             W /= np.linalg.norm(W, axis=1, keepdims=True)
             # Back off the boundary by more than the roundoff of the
             # quadratic form so every sample stays strictly feasible.
-            radius = EPS * (1.0 - 1e-7)
-            C = scale[:, None] * (U_k @ (radius * W / np.sqrt(lam_k)).T)
-            quad = np.einsum("ik,ij,jk->k", C, system.Q, C)
+            C = EPS * (1.0 - 1e-7) * W * scale
+            quad = np.einsum("ki,ij,kj->k", C, gram, C)
             assert quad.max() <= EPS**2 * (1.0 + 1e-9)
-            worst = max(worst, float(np.abs(system.b @ C).max() / value))
-    _report(7, "sup domination", worst <= 1.0 + 1e-9, f"max sample/sup ratio {worst:.12f} over 4 systems x 1000 draws")
+            ratios = np.abs(C @ pairings) / value
+            worst = max(worst, float(ratios.max()))
+            attained = min(attained, float(ratios[0]))
+    passed = worst <= 1.0 + 1e-9 and attained >= 1.0 - 1e-6
+    _report(
+        7,
+        "sup domination",
+        passed,
+        f"max sample/sup ratio {worst:.12f}, maximiser reaches {attained:.12f}, over 4 systems x 1000 draws",
+    )
 
 
 def test_criterion_8_energy_inner_product_closed_form():
@@ -187,3 +213,20 @@ def test_criterion_8_energy_inner_product_closed_form():
     expected = np.pi + np.pi / 4.0
     rel = abs(value - expected) / expected
     _report(8, "energy inner product", rel <= 1e-10, f"r cos theta on unit disk rel error {rel:.2e} (tol 1e-10)")
+
+
+def test_criterion_9_exact_series_growth():
+    far = indicator_sweep(BLOWUP_REGION, R, EPS, [48, 64])
+    rate = float(np.log(far.values[1] / far.values[0])) / 16.0
+    walsh = float(np.log(np.hypot(*BLOWUP_REGION.center) / BLOWUP_REGION.radius))
+    rate_rel = abs(rate - walsh) / walsh
+    near = indicator_sweep(DiskRegion((0.365, 0.0), 0.546), R, EPS, range(1, 401))
+    limit_rel = abs(near.values[399] - near.values[199]) / near.values[399]
+    monotone = bool(np.all(np.diff(near.values) >= 0.0))
+    checks = [
+        (rate_rel <= 0.01, f"growth per order over N=48..64 {rate:.4f} vs log(|c|/rho) {walsh:.4f}"),
+        (limit_rel <= 1e-12 and monotone, f"origin-inside I_200 vs I_400 rel {limit_rel:.1e}, nondecreasing {monotone}"),
+        (near.verdict is Verdict.BOUNDED, f"origin-inside verdict {near.verdict.value}"),
+    ]
+    passed = all(ok for ok, _ in checks)
+    _report(9, "exact series growth", passed, "; ".join(msg for _, msg in checks))

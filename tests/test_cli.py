@@ -1,12 +1,16 @@
 """End-to-end CLI runs: outputs, determinism and exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from nrtlab import cli
 from nrtlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
+from nrtlab.indicator import MAX_SWEEP_ORDER
 
 ALL_COMMANDS = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
 SWEEP_COLUMNS = "N_or_t,eps,value,cond_Q,discarded_share,verdict"
@@ -45,6 +49,7 @@ def test_json_payload_shape(tmp_path):
     assert payload["summary"]["passed"] is True
     verdicts = [entry["verdict"] for entry in payload["summary"]["regions"]]
     assert verdicts == ["Bounded", "BlowUp"]
+    assert set(payload["summary"]["regions"][0]) == {"region", "expect", "verdict", "values", "growth_ratios"}
 
 
 def test_csv_headers(tmp_path):
@@ -56,6 +61,54 @@ def test_csv_headers(tmp_path):
     assert runge_header.startswith(SWEEP_COLUMNS)
     assert (out / "enclosure.csv").read_text().splitlines()[0].startswith("tau,re,im,modulus,log_over_tau")
     assert (out / "sign-map.csv").read_text().splitlines()[0] == "y3,x1,x2,value"
+
+
+def test_indicator_rows_leave_gram_columns_empty(tmp_path):
+    out = tmp_path / "out"
+    assert main(["indicator", "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((out / "indicator.csv").read_text())))
+    assert len(rows) == 2 * 5
+    assert all(row["cond_Q"] == row["discarded_share"] == "" for row in rows)
+    assert [row["N_or_t"] for row in rows[:5]] == ["4", "8", "16", "24", "32"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"orders": ["x"]},
+        {"orders": [4, 8, 4]},
+        {"orders": [0, 4, 8]},
+        {"orders": [4, 8, MAX_SWEEP_ORDER + 1]},
+        {"eps": "nan"},
+        {"eps": "inf"},
+        {"boundary_radius": "nan"},
+        {"boundary_radius": "inf"},
+    ],
+)
+def test_indicator_config_errors_exit_2_before_any_sweep(tmp_path, monkeypatch, capsys, config):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a rejected config must not reach the sweep")
+
+    monkeypatch.setattr(cli, "indicator_sweep", no_sweep)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["indicator", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_indicator_runs_at_the_order_cap(tmp_path):
+    # Off the origin I_N has left the float64 range by N = 1000; the
+    # values are written as inf and the verdict still comes out.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"orders": [1000, 1012, MAX_SWEEP_ORDER]}))
+    out = tmp_path / "out"
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "indicator.json").read_text())
+    bounded, blow_up = payload["summary"]["regions"]
+    assert blow_up["verdict"] == "BlowUp" and blow_up["values"] == ["inf"] * 3
+    assert bounded["verdict"] == "Bounded"
 
 
 def test_sign_map_row_count(tmp_path):

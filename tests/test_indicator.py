@@ -11,6 +11,9 @@ makes the Gram matrix exactly diagonal in that configuration, which
 pins the sup down to a hand-computable number.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +21,7 @@ from numpy.testing import assert_allclose
 from nrtlab.geometry import DiskRegion, build_disk_quadrature
 from nrtlab.harmonic import BoundaryData, annulus_neumann_solution, boundary_pairing, dirichlet_disk_solve, gap_neumann_trace
 from nrtlab.indicator import (
+    MAX_SWEEP_ORDER,
     GramConditioningError,
     GramSystem,
     IndicatorCurve,
@@ -31,6 +35,7 @@ from nrtlab.indicator import (
     runge_fit,
     scaled_sequence,
     sup_indicator,
+    validate_orders,
 )
 
 R = 2.0
@@ -41,6 +46,21 @@ def lifted_mode_norm_sq(n, rho, boundary_radius):
     if n == 0:
         return np.pi * rho**2
     return boundary_radius ** (-2 * n) * (n * np.pi * rho ** (2 * n) + np.pi * rho ** (2 * n + 2) / (2 * n + 2))
+
+
+def log_disk_series_exact(center_dist: Fraction, rho: Fraction, order: int) -> float:
+    """log of the sup gain 2 pi sqrt(sum_k k^2 |c|^(2k-2) / D_k) on disk(c, rho).
+
+    D_k = pi rho^2k (k + rho^2 / (2 (k + 1))) is the squared H1 norm of
+    Re/Im (z - c)^k.  The sum is rational in |c| and rho, so it is taken
+    exactly and only its logarithm is rounded.
+    """
+    total = sum(
+        Fraction(k * k) * center_dist ** (2 * k - 2) / (rho ** (2 * k) * (k + rho * rho / (2 * (k + 1))))
+        for k in range(1, order + 1)
+    )
+    # gain^2 = 4 pi^2 * total / pi
+    return 0.5 * (math.log(4.0 * math.pi) + math.log(total.numerator) - math.log(total.denominator))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -223,17 +243,53 @@ def test_bounded_region_gain_closed_form():
 def test_indicator_sweep_bounded_region():
     curve = indicator_sweep(DiskRegion((0.0, 0.0), 0.5), R, EPS, [4, 8, 16, 24, 32])
     assert curve.verdict is Verdict.BOUNDED
-    assert_allclose(curve.values, curve.values[0], rtol=1e-12)
-    assert all(not d.unbounded for d in curve.details)
-    assert all(d.discarded_share == 0.0 for d in curve.details)
+    # On a centred disk only Re/Im z pair with the gap trace:
+    # I_N = eps 2 pi / sqrt(pi (rho^2 + rho^4 / 4)) at every N.
+    expected = EPS * 2.0 * np.pi / np.sqrt(np.pi * (0.25 + 0.25**2 / 4.0))
+    assert_allclose(curve.values, expected, rtol=1e-14)
 
 
 def test_indicator_sweep_blow_up_region():
-    curve = indicator_sweep(DiskRegion((1.3, 0.0), 0.25), R, EPS, [4, 8, 16, 24, 32])
+    orders = [4, 8, 16, 24, 32]
+    curve = indicator_sweep(DiskRegion((1.3, 0.0), 0.25), R, EPS, orders)
     assert curve.verdict is Verdict.BLOW_UP
-    assert any(d.unbounded for d in curve.details)
-    # The unbounded flag appears from N = 8 on.
-    assert all(d.unbounded for d in curve.details if d.order >= 8)
+    expected = [EPS * np.exp(log_disk_series_exact(Fraction(13, 10), Fraction(1, 4), n)) for n in orders]
+    assert_allclose(curve.values, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("center,rho,top", [((0.0, 0.0), 0.5, 32), ((1.3, 0.0), 0.25, 4)])
+def test_series_matches_gram_oracle(center, rho, top):
+    # The quadrature Gram path is accurate at these orders, so the two
+    # independent routes to the same sup must agree.
+    region = DiskRegion(center, rho)
+    orders = list(range(1, top + 1))
+    curve = indicator_sweep(region, R, EPS, orders)
+    oracle = [sup_indicator(assemble_gram(region, R, n), EPS).value for n in orders]
+    assert_allclose(curve.values, oracle, rtol=1e-9)
+
+
+def test_indicator_sweep_offcentre_origin_inside_is_bounded():
+    # The origin lies inside, so the series converges; the float64 rank
+    # flag of the Gram path used to call this disk BlowUp.
+    region = DiskRegion((0.365, 0.0), 0.546)
+    orders = [4, 8, 16, 24, 32]
+    curve = indicator_sweep(region, R, EPS, orders)
+    assert curve.verdict is Verdict.BOUNDED
+    expected = [EPS * np.exp(log_disk_series_exact(Fraction(73, 200), Fraction(273, 500), n)) for n in orders]
+    assert_allclose(curve.values, expected, rtol=1e-13)
+
+
+def test_indicator_sweep_exact_until_float64_overflow():
+    orders = list(range(8, 513, 8))
+    curve = indicator_sweep(DiskRegion((1.3, 0.0), 0.25), R, EPS, orders)
+    assert curve.verdict is Verdict.BLOW_UP
+    log_exact = np.array([log_disk_series_exact(Fraction(13, 10), Fraction(1, 4), n) + np.log(EPS) for n in orders])
+    top = np.log(np.finfo(float).max)
+    assert np.min(np.abs(log_exact - top)) > 1e-6  # no order sits on the overflow edge
+    finite = log_exact < top
+    assert 0 < np.count_nonzero(finite) < len(orders)
+    assert_allclose(curve.values[finite], np.exp(log_exact[finite]), rtol=1e-11)
+    assert np.all(np.isposinf(curve.values[~finite]))
 
 
 def test_indicator_sweep_refuses_origin_on_boundary():
@@ -248,10 +304,15 @@ def test_indicator_sweep_inconclusive_when_short():
 
 def test_indicator_sweep_validates_orders():
     region = DiskRegion((0.0, 0.0), 0.5)
+    for bad in ([], [8, 4], [4, 8, 4], [0, 4], ["x"], [4.5], 8, [4, MAX_SWEEP_ORDER + 1]):
+        with pytest.raises(ValueError):
+            indicator_sweep(region, R, EPS, bad)
+    for bad_eps in (0.0, -EPS, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            indicator_sweep(region, R, bad_eps, [4, 8])
     with pytest.raises(ValueError):
-        indicator_sweep(region, R, EPS, [])
-    with pytest.raises(ValueError):
-        indicator_sweep(region, R, EPS, [8, 4])
+        indicator_sweep(DiskRegion((1.9, 0.0), 0.5), R, EPS, [4, 8])
+    assert validate_orders(np.array([4, 8, MAX_SWEEP_ORDER])) == [4, 8, MAX_SWEEP_ORDER]
 
 
 @pytest.mark.parametrize("t", [0.5, 0.25])
