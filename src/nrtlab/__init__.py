@@ -11,7 +11,6 @@ the underlying kernels.
 from .checks import (
     EnclosureSample,
     EnclosureSweep,
-    QuadratureResolutionWarning,
     SignField,
     enclosure_closed_form,
     enclosure_indicator,
@@ -23,12 +22,10 @@ from .checks import (
     sign_map,
 )
 from .geometry import (
-    AnnulusRegion,
     CircleContour,
     DiskRegion,
     OriginLocation,
     QuadratureRule,
-    build_annulus_quadrature,
     build_contour_quadrature,
     build_disk_quadrature,
     validate_admissible,
@@ -67,7 +64,6 @@ from .indicator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnulusRegion",
     "BoundaryData",
     "CircleContour",
     "DiskRegion",
@@ -80,7 +76,6 @@ __all__ = [
     "LogSource",
     "OriginLocation",
     "OriginOnBoundaryError",
-    "QuadratureResolutionWarning",
     "QuadratureRule",
     "RungeFit",
     "SignField",
@@ -90,7 +85,6 @@ __all__ = [
     "assemble_gram",
     "blow_up_diagnostic",
     "boundary_pairing",
-    "build_annulus_quadrature",
     "build_contour_quadrature",
     "build_disk_quadrature",
     "contour_green_pairing",

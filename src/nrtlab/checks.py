@@ -11,14 +11,18 @@ Three independent consistency routes for the cavity measurement:
 * the enclosure-method indicator with complex exponential probes,
   which admits the closed form -2 pi tau e^{-i phi} and whose
   normalized log modulus decays like log(2 pi tau) / tau.
+
+The enclosure integral lives on r = R, where the probe reaches
+e^{tau R} while the answer has size 2 pi tau.  Green's identity moves
+it to the circle r = min(1, 1/tau), where the probe stays below e, so
+one fixed 64-node trapezoid rule in float64 gives it to rounding for
+every tau up to MAX_TAU.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .harmonic import (
@@ -29,14 +33,12 @@ from .harmonic import (
     gap_neumann_trace,
 )
 
-# Exponent size above which the oscillatory enclosure integral is summed
-# in extended precision; beyond this the float64 trapezoid loses more
-# digits to cancellation than it keeps.
-ENCLOSURE_FLOAT64_MAX_EXPONENT = 12.0
-
-
-class QuadratureResolutionWarning(UserWarning):
-    """Emitted when an oscillatory integral is computed under-resolved."""
+# Trapezoid nodes on the shifted enclosure circle r = min(1, 1/tau).
+ENCLOSURE_NODES = 64
+# Largest probe frequency: on the shifted circle w_r grows like tau^2,
+# which would overflow near tau = 1e154; the cap keeps every sweep far
+# inside that range.
+MAX_TAU = 1e6
 
 
 def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: BoundaryData | None = None) -> tuple[float, float]:
@@ -199,54 +201,61 @@ def enclosure_closed_form(tau: float, phi: float) -> complex:
 
 
 def required_enclosure_order(tau: float, boundary_radius: float) -> int:
-    return max(64, 8 * int(np.ceil(tau * boundary_radius)))
+    """Trapezoid nodes of the shifted enclosure rule: ENCLOSURE_NODES for every tau and R."""
+    return ENCLOSURE_NODES
 
 
-def enclosure_indicator(tau: float, phi: float, boundary_radius: float, quad_order: int | None = None) -> complex:
-    """Trapezoid value of the enclosure integral for one probe frequency.
+def validate_taus(tau_list) -> list[float]:
+    """Probe frequencies as floats, checked to be an enclosure sweep's grid.
 
-    Integrates the explicit Neumann gap trace against the complex
-    exponential probe exp(tau x . (omega + i omega_perp)) over r = R,
-    where omega = (cos phi, sin phi).  The integrand peaks at
-    exp(tau R) while the answer has size 2 pi tau, so for tau R beyond
-    a small threshold the sum runs in extended precision; float64 would
-    cancel essentially all digits.  Passing a quad_order below the
-    resolution requirement 8 ceil(tau R) emits a warning and proceeds.
+    The grid must hold at least four (the decay fit has three
+    parameters) strictly increasing frequencies in (0, MAX_TAU]; anything
+    else, including a non-finite entry, raises ValueError.
     """
-    if tau <= 0.0:
-        raise ValueError(f"probe frequency tau must be positive, got {tau}")
+    try:
+        taus = [float(v) for v in tau_list]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"frequencies must be a list of numbers, got {tau_list!r}") from exc
+    if len(taus) < 4:
+        raise ValueError(f"an enclosure sweep needs at least 4 frequencies for the decay fit, got {len(taus)}")
+    if not all(0.0 < v <= MAX_TAU for v in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"frequencies must be strictly increasing and in (0, {MAX_TAU:g}], got {taus}")
+    return taus
+
+
+def enclosure_indicator(tau: float, phi: float, boundary_radius: float) -> complex:
+    """Enclosure integral for one probe frequency, by contour shift.
+
+    The integral pairs the explicit Neumann gap trace with the complex
+    exponential probe v = exp(tau e^{-i phi} z) over r = R.  The gap
+    w = (1/r - r/R^2) cos(theta) is harmonic on 0 < r <= R and vanishes
+    on r = R, and v is entire, so Green's identity moves the pairing to
+
+        integral over r = eta of (w_r v - w v_r) ds,   eta = min(1, 1/tau),
+
+    where |v| <= e.  Only the cos(theta) e^{i theta} products survive,
+    the integrand is an entire function of e^{i theta} with no
+    cancellation, and the trapezoid rule with ENCLOSURE_NODES nodes is
+    exact to rounding: its aliasing error is below 1/63!.
+    """
+    if not 0.0 < tau <= MAX_TAU:
+        raise ValueError(f"probe frequency tau must be in (0, {MAX_TAU:g}], got {tau}")
+    if not np.isfinite(phi):
+        raise ValueError(f"probe direction phi must be finite, got {phi}")
     if boundary_radius <= 1.0:
         raise ValueError(f"ambient radius must exceed the unit cavity radius, got {boundary_radius}")
     R = float(boundary_radius)
-    needed = required_enclosure_order(tau, R)
-    if quad_order is None:
-        quad_order = needed
-    elif quad_order < needed:
-        warnings.warn(
-            f"quad_order {quad_order} is below the resolution requirement {needed} "
-            f"for tau R = {tau * R:.1f}; the oscillatory integral may be inaccurate",
-            QuadratureResolutionWarning,
-            stacklevel=2,
-        )
-    exponent = tau * R
-    M = int(quad_order)
-    if exponent <= ENCLOSURE_FLOAT64_MAX_EXPONENT:
-        theta = 2.0 * np.pi * np.arange(M) / M
-        integrand = np.cos(theta) * np.exp(exponent * np.exp(1j * (theta - phi)))
-        total = complex(integrand.sum())
-        return (-2.0 / R) * (2.0 * np.pi / M) * total
-    digits = max(30, int(exponent / np.log(10.0)) + 25)
-    with mp.workdps(digits):
-        x = mp.mpf(exponent)
-        ph = mp.mpf(phi)
-        two_pi = 2 * mp.pi
-        total = mp.mpc(0)
-        for j in range(M):
-            theta = two_pi * j / M
-            shifted = theta - ph
-            total += mp.cos(theta) * mp.exp(mp.mpc(x * mp.cos(shifted), x * mp.sin(shifted)))
-        value = mp.mpf(-2.0) / R * (two_pi / M) * total
-        return complex(value)
+    eta = min(1.0, 1.0 / tau)
+    a = tau * complex(np.cos(phi), -np.sin(phi))
+    rotor = np.exp(2j * np.pi * np.arange(ENCLOSURE_NODES) / ENCLOSURE_NODES)
+    z = a * eta * rotor
+    w_r = -(1.0 / eta**2 + 1.0 / R**2)
+    w = 1.0 / eta - eta / R**2
+    # cos(theta) (w_r v - w v_r) with v_r = a e^{i theta} v on r = eta.  The
+    # constant 1 in v integrates to zero against cos(theta); pairing w_r
+    # with v - 1 keeps that zero out of the sum, which matters for tau << 1.
+    total = np.sum(rotor.real * (w_r * np.expm1(z) - w * a * rotor * np.exp(z)))
+    return complex(total) * (2.0 * np.pi * eta / ENCLOSURE_NODES)
 
 
 @dataclass(frozen=True)
@@ -256,7 +265,6 @@ class EnclosureSample:
     tau: float
     phi: float
     value: complex
-    quad_order: int
 
     @property
     def modulus(self) -> float:
@@ -289,18 +297,11 @@ def enclosure_sweep(tau_list, phi: float, boundary_radius: float) -> EnclosureSw
     decreasing over the tau >= 3 portion, which the closed form
     guarantees; a violation means the quadrature failed and raises.
     """
-    taus = [float(v) for v in tau_list]
-    if len(taus) < 4:
-        raise ValueError(f"enclosure sweep needs at least 4 frequencies, got {len(taus)}")
-    if any(v <= 0.0 for v in taus):
-        raise ValueError(f"all frequencies must be positive, got {taus}")
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError(f"frequencies must be strictly increasing, got {taus}")
-    samples = []
-    for tau in taus:
-        order = required_enclosure_order(tau, boundary_radius)
-        value = enclosure_indicator(tau, phi, boundary_radius, quad_order=order)
-        samples.append(EnclosureSample(tau=tau, phi=float(phi), value=value, quad_order=order))
+    taus = validate_taus(tau_list)
+    samples = [
+        EnclosureSample(tau=tau, phi=float(phi), value=enclosure_indicator(tau, phi, boundary_radius))
+        for tau in taus
+    ]
 
     decay = [s.log_over_tau for s in samples if s.tau >= 3.0]
     if any(b >= a for a, b in zip(decay, decay[1:])):

@@ -26,6 +26,7 @@ from .checks import (
     gradient_identity,
     sign_indefiniteness_certificate,
     sign_map,
+    validate_taus,
 )
 from .geometry import DiskRegion
 from .harmonic import (
@@ -36,6 +37,7 @@ from .harmonic import (
     BoundaryData,
 )
 from .indicator import (
+    MAX_RUNGE_ORDER,
     IndicatorCurve,
     OriginOnBoundaryError,
     Verdict,
@@ -148,6 +150,30 @@ def _validate_common(cfg: RunConfig) -> None:
         raise ConfigError(f"eps must be positive and finite, got {cfg.eps}")
 
 
+def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
+    """A config integer in [lo, hi]; strings, floats and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _finite(value, name: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+    if not np.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def _finite_list(values, name: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return [_finite(v, f"{name}[{i}]") for i, v in enumerate(values)]
+
+
 def _parse_region(entry: dict, boundary_radius: float, label: str) -> tuple[DiskRegion, str | None]:
     if not isinstance(entry, dict):
         raise ConfigError(f"{label} must be an object with shape/center/radius, got {entry!r}")
@@ -223,20 +249,21 @@ def write_outputs(out_dir: Path, name: str, columns: list, rows: list, summary: 
 
 def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Check the pairing identity on fixed modes plus random boundary data."""
-    if cfg.identity_samples < 1 or cfg.identity_max_order < 1:
-        raise ConfigError("identity_samples and identity_max_order must be >= 1")
+    samples = _integer(cfg.identity_samples, "identity_samples", 1)
+    max_order = _integer(cfg.identity_max_order, "identity_max_order", 1)
+    perturbation = _finite(cfg.pairing_perturbation, "pairing_perturbation")
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
-    if cfg.pairing_perturbation != 1.0:
-        w = w.scaled(cfg.pairing_perturbation)
+    if perturbation != 1.0:
+        w = w.scaled(perturbation)
     rng = np.random.default_rng(cfg.seed)
 
     cases: list[tuple[str, BoundaryData]] = [("const", BoundaryData.mode(0, "cos"))]
     for n in range(1, 5):
         cases.append((f"cos{n}", BoundaryData.mode(n, "cos")))
     cases.append(("sin3", BoundaryData.mode(3, "sin")))
-    for k in range(cfg.identity_samples):
-        order = int(rng.integers(1, cfg.identity_max_order + 1))
+    for k in range(samples):
+        order = int(rng.integers(1, max_order + 1))
         cases.append((f"random{k}", random_boundary_data(order, rng)))
 
     rows = []
@@ -362,13 +389,12 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Drive the blow-up route with shifted log potentials as t -> 0."""
-    ts = [float(t) for t in cfg.t_values]
+    ts = _finite_list(cfg.t_values, "t_values")
     if len(ts) < 3:
         raise ConfigError(f"t_values needs at least 3 entries for the slope diagnostic, got {len(ts)}")
     if any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ConfigError(f"t_values must be strictly decreasing positives, got {ts}")
-    if int(cfg.runge_order) < 1:
-        raise ConfigError(f"runge_order must be >= 1, got {cfg.runge_order}")
+    order = _integer(cfg.runge_order, "runge_order", 1, MAX_RUNGE_ORDER)
     region, _ = _parse_region(cfg.runge_region, cfg.boundary_radius, "runge_region")
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
@@ -379,7 +405,7 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     failures = []
     for t in ts:
         try:
-            fit = runge_fit(t, region, R, int(cfg.runge_order))
+            fit = runge_fit(t, region, R, order)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         pairing = boundary_pairing(w, fit.g, R)
@@ -429,7 +455,7 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     passed = not failures and not (cfg.strict and soft_flags)
     summary = {
         "eps": cfg.eps,
-        "order": int(cfg.runge_order),
+        "order": order,
         "region": cfg.runge_region,
         "t_values": ts,
         "pairings": pairings,
@@ -469,21 +495,25 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Map the restricted kernel sign structure over decreasing heights."""
-    heights = [float(v) for v in cfg.y3_values]
+    heights = _finite_list(cfg.y3_values, "y3_values")
     if len(heights) == 0:
         raise ConfigError("y3_values must be nonempty")
     if any(v <= 0 for v in heights) or any(b >= a for a, b in zip(heights, heights[1:])):
         raise ConfigError(f"y3_values must be strictly decreasing positives, got {heights}")
-    if cfg.sign_half_width <= 0 or cfg.sign_patch_radius <= 0:
+    half_width = _finite(cfg.sign_half_width, "sign_half_width")
+    patch_radius = _finite(cfg.sign_patch_radius, "sign_patch_radius")
+    if half_width <= 0 or patch_radius <= 0:
         raise ConfigError("sign_half_width and sign_patch_radius must be positive")
-    resolution = int(cfg.sign_resolution)
+    resolution = _integer(cfg.sign_resolution, "sign_resolution", 3)
+    if resolution % 2 == 0:
+        raise ConfigError(f"sign_resolution must be odd so the origin is a grid point, got {resolution}")
 
     fields_out = []
     rows = []
     failures = []
     per_height = []
     for y3 in heights:
-        field_map = sign_map(y3, cfg.sign_half_width, resolution)
+        field_map = sign_map(y3, half_width, resolution)
         fields_out.append(field_map)
         axis = field_map.axis
         for i in range(axis.size):
@@ -502,22 +532,22 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
             failures.append(f"y3={y3}: kernel at the origin is {center:.3e}, expected negative")
         predicted = field_map.predicted_zero_radius
         estimate = field_map.zero_radius_estimate
-        if predicted < cfg.sign_half_width:
+        if predicted < half_width:
             if not np.isfinite(estimate) or abs(estimate - predicted) > field_map.grid_step:
                 failures.append(
                     f"y3={y3}: zero-circle estimate {estimate} misses sqrt(2) y3 = {predicted:.4f} "
                     f"by more than one grid step {field_map.grid_step:.4f}"
                 )
-    certificate = sign_indefiniteness_certificate(heights, cfg.sign_patch_radius)
+    certificate = sign_indefiniteness_certificate(heights, patch_radius)
     if not certificate:
         failures.append("sign indefiniteness certificate failed on the fixed patch")
 
     passed = not failures
     summary = {
         "y3_values": heights,
-        "half_width": cfg.sign_half_width,
+        "half_width": half_width,
         "resolution": resolution,
-        "patch_radius": cfg.sign_patch_radius,
+        "patch_radius": patch_radius,
         "per_height": per_height,
         "certificate": certificate,
         "failures": failures,
@@ -534,12 +564,11 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 def run_enclosure(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Sweep complex exponential probes and compare with the closed form."""
-    taus = [float(v) for v in cfg.tau_values]
-    if len(taus) < 4:
-        raise ConfigError(f"tau_values needs at least 4 entries for the decay fit, got {len(taus)}")
-    if any(v <= 0 for v in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ConfigError(f"tau_values must be strictly increasing positives, got {taus}")
-    phi = float(cfg.enclosure_phi)
+    try:
+        taus = validate_taus(cfg.tau_values)
+    except ValueError as exc:
+        raise ConfigError(f"tau_values: {exc}") from exc
+    phi = _finite(cfg.enclosure_phi, "enclosure_phi")
 
     sweep = enclosure_sweep(taus, phi, cfg.boundary_radius)
     rows = []

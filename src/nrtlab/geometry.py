@@ -1,8 +1,8 @@
 """Planar regions, contours and quadrature rules.
 
 All experiments run on subsets of a disk of radius R centered at the
-origin.  Cavities and probing balls are disks, auxiliary integration
-domains are annuli, and Green-type pairings are evaluated on circles.
+origin.  Cavities and probing balls are disks, and Green-type pairings
+are evaluated on circles.
 Quadrature rules pair a node/weight table with the region they were
 built for, so downstream code can reject integrands that are singular
 inside the integration domain.
@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 # Relative tolerance for deciding whether a point sits on a circle.
 BOUNDARY_RTOL = 1e-9
@@ -96,33 +95,6 @@ class DiskRegion:
 
 
 @dataclass(frozen=True)
-class AnnulusRegion:
-    """Closed annulus inner <= r <= outer around a common center."""
-
-    center: tuple[float, float]
-    inner: float
-    outer: float
-
-    def __post_init__(self):
-        if not (0.0 < self.inner < self.outer):
-            raise ValueError(f"annulus radii must satisfy 0 < inner < outer, got {self.inner}, {self.outer}")
-        cx, cy = float(self.center[0]), float(self.center[1])
-        object.__setattr__(self, "center", (cx, cy))
-        object.__setattr__(self, "inner", float(self.inner))
-        object.__setattr__(self, "outer", float(self.outer))
-
-    @property
-    def area(self) -> float:
-        return np.pi * (self.outer**2 - self.inner**2)
-
-    def contains(self, points, tol: float = 0.0):
-        pts, single = as_points(points)
-        d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        inside = (d >= self.inner - tol) & (d <= self.outer + tol)
-        return bool(inside[0]) if single else inside
-
-
-@dataclass(frozen=True)
 class CircleContour:
     """Oriented circle used for line integrals; normal points outward."""
 
@@ -188,45 +160,19 @@ class QuadratureRule:
 
 
 def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: int) -> QuadratureRule:
-    """Tensor rule on a disk: Gauss-Jacobi in radius, trapezoid in angle.
+    """Tensor rule on a disk: Gauss-Legendre in radius, trapezoid in angle.
 
-    The radial rule uses the Jacobi weight (1 + x) on [-1, 1] mapped to
-    [0, rho], which folds the polar Jacobian r into the weights.  Radial
-    polynomials of degree <= 2*radial_order - 1 and trigonometric
-    polynomials of degree <= angular_order - 1 are integrated exactly.
+    The radial Gauss-Legendre rule on [-1, 1] is mapped to [0, rho] and
+    the polar Jacobian r is folded into its weights, so integrands whose
+    radial factor is a polynomial of degree <= 2*radial_order - 2 and
+    trigonometric polynomials of degree <= angular_order - 1 are
+    integrated exactly.
     """
     if radial_order < 1 or angular_order < 1:
         raise ValueError("quadrature orders must be >= 1")
-    x, wx = roots_jacobi(radial_order, 0.0, 1.0)
+    x, wx = np.polynomial.legendre.leggauss(radial_order)
     r = 0.5 * region.radius * (x + 1.0)
-    wr = wx * (region.radius**2 / 4.0)
-    theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
-    wt = np.full(angular_order, 2.0 * np.pi / angular_order)
-
-    R, T = np.meshgrid(r, theta, indexing="ij")
-    nodes = np.column_stack(
-        [
-            region.center[0] + (R * np.cos(T)).ravel(),
-            region.center[1] + (R * np.sin(T)).ravel(),
-        ]
-    )
-    weights = np.outer(wr, wt).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, kind="area", region=region)
-
-
-def build_annulus_quadrature(region: AnnulusRegion, radial_order: int, angular_order: int) -> QuadratureRule:
-    """Tensor rule on an annulus: Gauss-Legendre in radius, trapezoid in angle.
-
-    The polar Jacobian is folded into the weights, so radial polynomials of
-    degree <= 2*radial_order - 2 are integrated exactly.
-    """
-    if radial_order < 1 or angular_order < 1:
-        raise ValueError("quadrature orders must be >= 1")
-    x, wx = roots_legendre(radial_order)
-    half = 0.5 * (region.outer - region.inner)
-    mid = 0.5 * (region.outer + region.inner)
-    r = mid + half * x
-    wr = wx * half * r
+    wr = wx * (0.5 * region.radius) * r
     theta = 2.0 * np.pi * np.arange(angular_order) / angular_order
     wt = np.full(angular_order, 2.0 * np.pi / angular_order)
 

@@ -56,6 +56,10 @@ UNBOUNDED_SHARE = 1e-8
 # Largest cutoff order a sweep accepts.  The series costs O(N), so the
 # cap bounds the run time of every sweep.
 MAX_SWEEP_ORDER = 1024
+# Largest cutoff order a Runge fit accepts.  The fit's basis matrices grow
+# like N^3 (nodes ~ N^2 times 2N + 1 columns), so the cap bounds its time
+# and memory.
+MAX_RUNGE_ORDER = 96
 
 
 class Verdict(enum.Enum):
@@ -518,8 +522,8 @@ def runge_fit(
     validate_admissible(cavity, boundary_radius)
     if not (0.0 < t < boundary_radius):
         raise ValueError(f"probe distance must satisfy 0 < t < {boundary_radius}, got {t}")
-    if order < 1:
-        raise ValueError(f"cutoff order must be >= 1, got {order}")
+    if not 1 <= order <= MAX_RUNGE_ORDER:
+        raise ValueError(f"cutoff order must be in [1, {MAX_RUNGE_ORDER}], got {order}")
     point = (float(t), 0.0)
     gap = np.hypot(point[0] - cavity.center[0], point[1] - cavity.center[1])
     if gap <= cavity.radius:

@@ -3,7 +3,8 @@
 Oracles: the pairing identity is checked against both its Parseval and
 gradient forms; the restricted kernel is checked against a second
 difference of 1/|x - y| in the height variable; the enclosure integral
-is checked against -2 pi tau e^{-i phi}.
+is checked against -2 pi tau e^{-i phi} and, where float64 can still sum
+it there, against the trapezoid rule on the outer circle r = R.
 """
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nrtlab.checks import (
-    QuadratureResolutionWarning,
+    ENCLOSURE_NODES,
+    MAX_TAU,
     enclosure_closed_form,
     enclosure_indicator,
     enclosure_sweep,
@@ -21,6 +23,7 @@ from nrtlab.checks import (
     required_enclosure_order,
     sign_indefiniteness_certificate,
     sign_map,
+    validate_taus,
 )
 from nrtlab.harmonic import BoundaryData, random_boundary_data
 
@@ -135,11 +138,45 @@ def test_certificate_preconditions():
         sign_indefiniteness_certificate([0.2, 0.1], 0.0)
 
 
-@pytest.mark.parametrize("tau", [1.0, 10.0, 50.0])
+PHIS = (0.0, 0.7, 2.5, -1.3)
+
+
+def outer_circle_trapezoid(tau, phi, boundary_radius, nodes=128):
+    """The enclosure integral summed where it is defined, on r = R.
+
+    There the gap's normal derivative is -2 cos(theta) / R and the probe
+    reaches e^(tau R) against an answer of size 2 pi tau, so float64
+    keeps about 16 - log10(e^(tau R) / tau) digits.  The aliasing error
+    pi sum_m x^(mM-1)/(mM-1)! with x = tau R and M = nodes is far below
+    rounding for tau R <= 12.
+    """
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    x = tau * boundary_radius
+    integrand = np.cos(theta) * np.exp(x * np.exp(1j * (theta - phi)))
+    return complex((-2.0 / boundary_radius) * (2.0 * np.pi / nodes) * integrand.sum())
+
+
+@pytest.mark.parametrize("tau", [1.0, 3.0, 7.0, 10.0, 50.0, 100.0, 1e3, 1e4, 1e6])
 def test_enclosure_matches_closed_form(tau):
-    value = enclosure_indicator(tau, 0.0, R)
-    closed = enclosure_closed_form(tau, 0.0)
-    assert abs(value - closed) / abs(closed) <= 1e-8
+    # One fixed rule on the shifted circle, whatever tau.
+    assert required_enclosure_order(tau, R) == ENCLOSURE_NODES
+    for phi in PHIS:
+        value = enclosure_indicator(tau, phi, R)
+        closed = enclosure_closed_form(tau, phi)
+        assert abs(value - closed) / abs(closed) <= 1e-14
+
+
+@pytest.mark.parametrize("boundary_radius", [1.5, 2.0, 4.0])
+def test_enclosure_matches_outer_circle_trapezoid(boundary_radius):
+    for tau_r in (0.5, 2.0, 6.0, 10.0, 12.0):
+        # The reference itself is off by about eps e^(tau R) / pi
+        # (6.3e-12 at tau R = 12 against the closed form).
+        bar = max(1e-12, np.finfo(float).eps * np.exp(tau_r))
+        tau = tau_r / boundary_radius
+        for phi in PHIS:
+            reference = outer_circle_trapezoid(tau, phi, boundary_radius)
+            value = enclosure_indicator(tau, phi, boundary_radius)
+            assert abs(value - reference) / abs(reference) <= bar
 
 
 def test_enclosure_nonzero_direction():
@@ -153,23 +190,22 @@ def test_enclosure_nonzero_direction():
 
 
 def test_enclosure_float64_path_accuracy():
-    # tau R = 10 stays on the float64 path and must still hit the
-    # closed form despite ~e^10 cancellation.
-    tau = 5.0
-    value = enclosure_indicator(tau, 0.0, R)
-    closed = enclosure_closed_form(tau, 0.0)
-    assert abs(value - closed) / abs(closed) <= 1e-10
-
-
-def test_enclosure_under_resolution_warns():
-    with pytest.warns(QuadratureResolutionWarning):
-        enclosure_indicator(100.0, 0.0, R, quad_order=16)
-    assert required_enclosure_order(100.0, R) == 1600
+    # At tau R = 10 the outer-circle sum would cancel ~e^10 against the
+    # answer; on the shifted circle nothing cancels.  Small tau checks
+    # that the constant part of the probe is kept out of the sum.
+    for tau in (5.0, 1e-3, 1e-8):
+        value = enclosure_indicator(tau, 0.0, R)
+        closed = enclosure_closed_form(tau, 0.0)
+        assert abs(value - closed) / abs(closed) <= 1e-14
 
 
 def test_enclosure_validation():
+    for tau in (0.0, -1.0, np.nan, np.inf, 1.01 * MAX_TAU):
+        with pytest.raises(ValueError):
+            enclosure_indicator(tau, 0.0, R)
+    enclosure_indicator(MAX_TAU, 0.0, R)
     with pytest.raises(ValueError):
-        enclosure_indicator(0.0, 0.0, R)
+        enclosure_indicator(1.0, np.nan, R)
     with pytest.raises(ValueError):
         enclosure_indicator(1.0, 0.0, 0.5)
 
@@ -192,3 +228,7 @@ def test_enclosure_sweep_preconditions():
         enclosure_sweep([1.0, 3.0, 2.0, 4.0], 0.0, R)
     with pytest.raises(ValueError):
         enclosure_sweep([-1.0, 1.0, 2.0, 3.0], 0.0, R)
+    for bad in ([1.0, 2.0, 3.0, "x"], [1.0, 2.0, 3.0, np.nan], [1.0, 2.0, 3.0, 2.0 * MAX_TAU], 5.0):
+        with pytest.raises(ValueError):
+            validate_taus(bad)
+    assert validate_taus([1, 2, "3", MAX_TAU]) == [1.0, 2.0, 3.0, MAX_TAU]

@@ -10,7 +10,8 @@ import pytest
 
 from nrtlab import cli
 from nrtlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
-from nrtlab.indicator import MAX_SWEEP_ORDER
+from nrtlab.checks import MAX_TAU
+from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER
 
 ALL_COMMANDS = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
 SWEEP_COLUMNS = "N_or_t,eps,value,cond_Q,discarded_share,verdict"
@@ -72,29 +73,49 @@ def test_indicator_rows_leave_gram_columns_empty(tmp_path):
     assert [row["N_or_t"] for row in rows[:5]] == ["4", "8", "16", "24", "32"]
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        {"orders": ["x"]},
-        {"orders": [4, 8, 4]},
-        {"orders": [0, 4, 8]},
-        {"orders": [4, 8, MAX_SWEEP_ORDER + 1]},
-        {"eps": "nan"},
-        {"eps": "inf"},
-        {"boundary_radius": "nan"},
-        {"boundary_radius": "inf"},
-    ],
-)
-def test_indicator_config_errors_exit_2_before_any_sweep(tmp_path, monkeypatch, capsys, config):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("a rejected config must not reach the sweep")
+# The computation each subcommand must not reach on a rejected config.
+COMPUTE = {
+    "indicator": "indicator_sweep",
+    "enclosure": "enclosure_sweep",
+    "sign-map": "sign_map",
+    "runge": "runge_fit",
+    "verify-identity": "gradient_identity",
+}
+CONFIG_ERRORS = [
+    ("indicator", {"orders": ["x"]}),
+    ("indicator", {"orders": [4, 8, 4]}),
+    ("indicator", {"orders": [0, 4, 8]}),
+    ("indicator", {"orders": [4, 8, MAX_SWEEP_ORDER + 1]}),
+    ("indicator", {"eps": "nan"}),
+    ("indicator", {"eps": "inf"}),
+    ("indicator", {"boundary_radius": "nan"}),
+    ("indicator", {"boundary_radius": "inf"}),
+    ("enclosure", {"tau_values": [1, 2, 3, "x"]}),
+    ("enclosure", {"tau_values": [1, 2, 3, "nan"]}),
+    ("enclosure", {"tau_values": [1, 2, 3, "inf"]}),
+    ("enclosure", {"tau_values": [1, 2, 3, 2 * MAX_TAU]}),
+    ("enclosure", {"enclosure_phi": "nan"}),
+    ("enclosure", {"enclosure_phi": "inf"}),
+    ("sign-map", {"sign_resolution": 4}),
+    ("sign-map", {"sign_half_width": "x"}),
+    ("verify-identity", {"identity_samples": "5"}),
+    ("runge", {"runge_order": "x"}),
+    ("runge", {"runge_order": MAX_RUNGE_ORDER + 1}),
+]
 
-    monkeypatch.setattr(cli, "indicator_sweep", no_sweep)
+
+@pytest.mark.parametrize("command,config", CONFIG_ERRORS, ids=[f"config{i}" for i in range(len(CONFIG_ERRORS))])
+def test_indicator_config_errors_exit_2_before_any_sweep(tmp_path, monkeypatch, capsys, command, config):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a rejected config must not reach the computation")
+
+    monkeypatch.setattr(cli, COMPUTE[command], no_compute)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["indicator", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
-    assert "config error:" in capsys.readouterr().err
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -216,3 +237,9 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK
     assert "PASS" in proc.stdout
     assert (out / "enclosure.json").is_file()
+
+
+def test_cli_imports_numpy_only():
+    code = "import sys, nrtlab.cli; print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -5,13 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nrtlab.geometry import (
-    AnnulusRegion,
     CircleContour,
     DiskRegion,
     OriginLocation,
     QuadratureRule,
     as_points,
-    build_annulus_quadrature,
     build_contour_quadrature,
     build_disk_quadrature,
     validate_admissible,
@@ -67,17 +65,6 @@ def test_region_dict_round_trip():
         DiskRegion.from_dict({"shape": "square", "center": [0, 0], "radius": 1})
 
 
-def test_annulus_validation():
-    with pytest.raises(ValueError):
-        AnnulusRegion((0.0, 0.0), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        AnnulusRegion((0.0, 0.0), 0.0, 1.0)
-    ann = AnnulusRegion((0.0, 0.0), 1.0, 2.0)
-    assert ann.contains((1.5, 0.0))
-    assert not ann.contains((0.5, 0.0))
-    assert not ann.contains((2.5, 0.0))
-
-
 def test_quadrature_rule_validation():
     nodes = np.zeros((4, 2))
     with pytest.raises(ValueError):
@@ -124,15 +111,6 @@ def test_disk_quadrature_shifted_center():
     assert_allclose(rule.integrate(np.ones(rule.size)), area, rtol=1e-12)
     assert_allclose(rule.integrate(rule.nodes[:, 0]), 2.0 * area, rtol=1e-12)
     assert_allclose(rule.integrate(rule.nodes[:, 1]), -3.0 * area, rtol=1e-12)
-
-
-def test_annulus_quadrature_moments():
-    ann = AnnulusRegion((0.0, 0.0), 1.0, 2.0)
-    rule = build_annulus_quadrature(ann, 12, 16)
-    assert_allclose(rule.integrate(np.ones(rule.size)), ann.area, rtol=1e-12)
-    rsq = rule.nodes[:, 0] ** 2 + rule.nodes[:, 1] ** 2
-    # integral r^2 dA = 2 pi (outer^4 - inner^4) / 4
-    assert_allclose(rule.integrate(rsq), 2.0 * np.pi * (2.0**4 - 1.0) / 4.0, rtol=1e-12)
 
 
 def test_contour_quadrature_moments():

@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 from nrtlab.geometry import DiskRegion, build_disk_quadrature
 from nrtlab.harmonic import BoundaryData, annulus_neumann_solution, boundary_pairing, dirichlet_disk_solve, gap_neumann_trace
 from nrtlab.indicator import (
+    MAX_RUNGE_ORDER,
     MAX_SWEEP_ORDER,
     GramConditioningError,
     GramSystem,
@@ -348,6 +349,9 @@ def test_runge_fit_preconditions():
     near_origin = DiskRegion((0.4, 0.0), 0.3)
     with pytest.raises(ValueError):
         runge_fit(0.5, near_origin, R, 8)
+    for order in (0, MAX_RUNGE_ORDER + 1):
+        with pytest.raises(ValueError, match="cutoff order"):
+            runge_fit(0.5, region, R, order)
 
 
 def test_scaled_sequence_window():
