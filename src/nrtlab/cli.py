@@ -60,6 +60,13 @@ RUNGE_NORM_WINDOW = (0.4, 0.6)
 ENCLOSURE_RTOL = 1e-8
 ENCLOSURE_LIMIT_BAR = 0.05
 
+# Caps that give every run a time bound; the README states the wall
+# time and peak memory of a run at them.
+MAX_IDENTITY_SAMPLES = 1000
+MAX_IDENTITY_ORDER = 1024
+MAX_SIGN_RESOLUTION = 401
+MAX_SIGN_HEIGHTS = 8
+
 SWEEP_COLUMNS = ["N_or_t", "eps", "value", "cond_Q", "discarded_share", "verdict"]
 
 
@@ -214,28 +221,36 @@ def _jsonify(value):
     return value
 
 
-def _cell(value):
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if np.isnan(value):
-            return "nan"
-        if np.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
+def _column_text(values) -> list[str]:
+    """CSV cells of one column: repr of every float, str of anything else.
+
+    A float array is formatted once per distinct bit pattern (so -0.0
+    keeps its sign), which makes a repeated grid axis cost one repr per
+    grid point.  repr writes nan, inf and -inf as such.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+            distinct, index = np.unique(bits, return_inverse=True)
+            text = [repr(v) for v in distinct.view(np.float64).tolist()]
+            return [text[i] for i in index.tolist()]
+        values = values.tolist()
+    return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
 
 
-def write_outputs(out_dir: Path, name: str, columns: list, rows: list, summary: dict, config: RunConfig) -> None:
-    """Write <name>.csv and <name>.json under out_dir, creating it if needed."""
+def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: RunConfig) -> None:
+    """Write <name>.csv and <name>.json under out_dir, creating it if needed.
+
+    table maps each CSV column name, in order, to that column's values
+    (a sequence or an ndarray); all columns must have the same length.
+    """
+    columns = [_column_text(values) for values in table.values()]
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     with open(csv_path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerow(list(table))
+        writer.writerows(zip(*columns, strict=True))
     payload = {
         "experiment": name,
         "config": _jsonify(config.echo()),
@@ -249,8 +264,8 @@ def write_outputs(out_dir: Path, name: str, columns: list, rows: list, summary: 
 
 def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Check the pairing identity on fixed modes plus random boundary data."""
-    samples = _integer(cfg.identity_samples, "identity_samples", 1)
-    max_order = _integer(cfg.identity_max_order, "identity_max_order", 1)
+    samples = _integer(cfg.identity_samples, "identity_samples", 1, MAX_IDENTITY_SAMPLES)
+    max_order = _integer(cfg.identity_max_order, "identity_max_order", 1, MAX_IDENTITY_ORDER)
     perturbation = _finite(cfg.pairing_perturbation, "pairing_perturbation")
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
@@ -266,31 +281,28 @@ def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         order = int(rng.integers(1, max_order + 1))
         cases.append((f"random{k}", random_boundary_data(order, rng)))
 
-    rows = []
-    for label, g in cases:
-        pairing, gradient_form = gradient_identity(g, R, w_trace=w)
-        rows.append(
-            {
-                "case": label,
-                "order": g.max_order,
-                "pairing": pairing,
-                "gradient_form": gradient_form,
-                "residual": abs(pairing - gradient_form),
-            }
-        )
-    max_residual = max(r["residual"] for r in rows)
+    pairings, gradient_forms = zip(*(gradient_identity(g, R, w_trace=w) for _, g in cases))
+    residuals = [abs(p - q) for p, q in zip(pairings, gradient_forms)]
+    max_residual = max(residuals)
     passed = max_residual <= IDENTITY_TOL
     summary = {
-        "n_cases": len(rows),
+        "n_cases": len(cases),
         "max_residual": max_residual,
         "tolerance": IDENTITY_TOL,
         "passed": passed,
     }
-    write_outputs(out_dir, "verify-identity", ["case", "order", "pairing", "gradient_form", "residual"], rows, summary, cfg)
+    table = {
+        "case": [label for label, _ in cases],
+        "order": [g.max_order for _, g in cases],
+        "pairing": pairings,
+        "gradient_form": gradient_forms,
+        "residual": residuals,
+    }
+    write_outputs(out_dir, "verify-identity", table, summary, cfg)
     floor = 1e-18
     svgplot.line_chart(
         out_dir / "verify-identity.svg",
-        [("residual", np.arange(len(rows)), np.maximum([r["residual"] for r in rows], floor))],
+        [("residual", np.arange(len(cases)), np.maximum(residuals, floor))],
         title="Pairing identity residual per case",
         xlabel="case index",
         ylabel="|pairing + 2 pi dx z_g(0)|",
@@ -309,7 +321,7 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         raise ConfigError(str(exc)) from exc
     parsed = [_parse_region(entry, cfg.boundary_radius, f"regions[{i}]") for i, entry in enumerate(cfg.regions)]
 
-    rows = []
+    table = {column: [] for column in ["region"] + SWEEP_COLUMNS}
     region_summaries = []
     failures = []
     soft_flags = []
@@ -319,33 +331,16 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         try:
             curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, orders)
         except OriginOnBoundaryError as exc:
-            rows.append(
-                {
-                    "region": label,
-                    "N_or_t": "",
-                    "eps": cfg.eps,
-                    "value": "",
-                    "cond_Q": "",
-                    "discarded_share": "",
-                    "verdict": "refused",
-                }
-            )
+            for column, cell in zip(table, [label, "", cfg.eps, "", "", "", "refused"]):
+                table[column].append(cell)
             region_summaries.append({"region": label, "verdict": "refused", "reason": str(exc), "expect": expect})
             soft_flags.append(f"region {idx} refused: origin on boundary")
             continue
         curves.append((label, curve))
-        for order, value in zip(orders, curve.values):
-            rows.append(
-                {
-                    "region": label,
-                    "N_or_t": order,
-                    "eps": curve.eps,
-                    "value": value,
-                    "cond_Q": "",
-                    "discarded_share": "",
-                    "verdict": curve.verdict.value,
-                }
-            )
+        n = len(orders)
+        cells = [[label] * n, orders, [curve.eps] * n, curve.values.tolist(), [""] * n, [""] * n, [curve.verdict.value] * n]
+        for column, values in zip(table, cells):
+            table[column].extend(values)
         region_summaries.append(
             {
                 "region": label,
@@ -370,7 +365,7 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "strict": cfg.strict,
         "passed": passed,
     }
-    write_outputs(out_dir, "indicator", ["region"] + SWEEP_COLUMNS, rows, summary, cfg)
+    write_outputs(out_dir, "indicator", table, summary, cfg)
     series = [
         (label, curve.grid, np.maximum(curve.values, 1e-18))
         for label, curve in curves
@@ -399,9 +394,11 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
 
-    rows = []
+    fits = []
     pairings = []
     scaled_values = []
+    rel_errs = []
+    zg_scaled_norms = []
     failures = []
     for t in ts:
         try:
@@ -414,25 +411,11 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         g_scaled = scaled_sequence(fit, cfg.eps)
         scaled_value = boundary_pairing(w, g_scaled, R)
         zg_scaled = fit.zg_norm_on_G * cfg.eps / (2.0 * fit.norm_on_G)
+        fits.append(fit)
         pairings.append(pairing)
         scaled_values.append(scaled_value)
-        rows.append(
-            {
-                "N_or_t": t,
-                "eps": cfg.eps,
-                "value": scaled_value,
-                "cond_Q": fit.cond,
-                "discarded_share": fit.discarded_share,
-                "verdict": "",
-                "pairing": pairing,
-                "target": target,
-                "rel_err": rel_err,
-                "residual": fit.residual,
-                "probe_norm_G": fit.norm_on_G,
-                "zg_norm_G": fit.zg_norm_on_G,
-                "zg_scaled_norm": zg_scaled,
-            }
-        )
+        rel_errs.append(rel_err)
+        zg_scaled_norms.append(zg_scaled)
         if rel_err > RUNGE_PAIRING_RTOL:
             failures.append(f"t={t}: pairing {pairing:.6g} misses 2 pi / t = {target:.6g} (rel {rel_err:.2e})")
         lo, hi = RUNGE_NORM_WINDOW
@@ -441,8 +424,6 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
     curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.array(pairings), eps=cfg.eps)
     verdict = blow_up_diagnostic(curve)
-    for row in rows:
-        row["verdict"] = verdict.value
     soft_flags = []
     if verdict is not Verdict.BLOW_UP:
         message = f"diagnostic verdict {verdict.value} on the pairing curve (expected BlowUp)"
@@ -467,21 +448,28 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "strict": cfg.strict,
         "passed": passed,
     }
-    columns = SWEEP_COLUMNS + [
-        "pairing",
-        "target",
-        "rel_err",
-        "residual",
-        "probe_norm_G",
-        "zg_norm_G",
-        "zg_scaled_norm",
-    ]
-    write_outputs(out_dir, "runge", columns, rows, summary, cfg)
+    targets = [2.0 * np.pi / t for t in ts]
+    table = {
+        "N_or_t": ts,
+        "eps": [cfg.eps] * len(ts),
+        "value": scaled_values,
+        "cond_Q": [fit.cond for fit in fits],
+        "discarded_share": [fit.discarded_share for fit in fits],
+        "verdict": [verdict.value] * len(ts),
+        "pairing": pairings,
+        "target": targets,
+        "rel_err": rel_errs,
+        "residual": [fit.residual for fit in fits],
+        "probe_norm_G": [fit.norm_on_G for fit in fits],
+        "zg_norm_G": [fit.zg_norm_on_G for fit in fits],
+        "zg_scaled_norm": zg_scaled_norms,
+    }
+    write_outputs(out_dir, "runge", table, summary, cfg)
     svgplot.line_chart(
         out_dir / "runge.svg",
         [
             ("pairing l(g_t)", ts, pairings),
-            ("2 pi / t", ts, [2.0 * np.pi / t for t in ts]),
+            ("2 pi / t", ts, targets),
             ("scaled value", ts, scaled_values),
         ],
         title="Blow-up route: pairing vs probe distance",
@@ -496,30 +484,29 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Map the restricted kernel sign structure over decreasing heights."""
     heights = _finite_list(cfg.y3_values, "y3_values")
-    if len(heights) == 0:
-        raise ConfigError("y3_values must be nonempty")
+    if not 1 <= len(heights) <= MAX_SIGN_HEIGHTS:
+        raise ConfigError(f"y3_values must hold 1 to {MAX_SIGN_HEIGHTS} heights, got {len(heights)}")
     if any(v <= 0 for v in heights) or any(b >= a for a, b in zip(heights, heights[1:])):
         raise ConfigError(f"y3_values must be strictly decreasing positives, got {heights}")
     half_width = _finite(cfg.sign_half_width, "sign_half_width")
     patch_radius = _finite(cfg.sign_patch_radius, "sign_patch_radius")
     if half_width <= 0 or patch_radius <= 0:
         raise ConfigError("sign_half_width and sign_patch_radius must be positive")
-    resolution = _integer(cfg.sign_resolution, "sign_resolution", 3)
+    resolution = _integer(cfg.sign_resolution, "sign_resolution", 3, MAX_SIGN_RESOLUTION)
     if resolution % 2 == 0:
         raise ConfigError(f"sign_resolution must be odd so the origin is a grid point, got {resolution}")
 
     fields_out = []
-    rows = []
     failures = []
     per_height = []
     for y3 in heights:
         field_map = sign_map(y3, half_width, resolution)
+        if not np.isfinite(field_map.values).all():
+            raise ConfigError(
+                f"y3={y3}, sign_half_width={half_width}: the kernel leaves the float64 range on the grid"
+            )
         fields_out.append(field_map)
-        axis = field_map.axis
-        for i in range(axis.size):
-            for j in range(axis.size):
-                rows.append({"y3": y3, "x1": axis[i], "x2": axis[j], "value": field_map.values[i, j]})
-        center = float(field_map.values[axis.size // 2, axis.size // 2])
+        center = float(field_map.values[resolution // 2, resolution // 2])
         entry = {
             "y3": y3,
             "center_value": center,
@@ -553,7 +540,16 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "failures": failures,
         "passed": passed,
     }
-    write_outputs(out_dir, "sign-map", ["y3", "x1", "x2", "value"], rows, summary, cfg)
+    # Rows run over heights, then x1, then x2: values[i, j] in C order.
+    axis = fields_out[0].axis
+    cells = resolution * resolution
+    table = {
+        "y3": np.repeat(heights, cells),
+        "x1": np.tile(np.repeat(axis, resolution), len(heights)),
+        "x2": np.tile(axis, resolution * len(heights)),
+        "value": np.concatenate([f.values.ravel() for f in fields_out]),
+    }
+    write_outputs(out_dir, "sign-map", table, summary, cfg)
     svgplot.sign_panels(
         out_dir / "sign-map.svg",
         fields_out,
@@ -571,23 +567,12 @@ def run_enclosure(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     phi = _finite(cfg.enclosure_phi, "enclosure_phi")
 
     sweep = enclosure_sweep(taus, phi, cfg.boundary_radius)
-    rows = []
+    samples = sweep.samples
+    log_over_tau = [s.log_over_tau for s in samples]
+    closed_forms = [enclosure_closed_form(sample.tau, phi) for sample in samples]
+    rel_errs = [abs(s.value - closed) / abs(closed) for s, closed in zip(samples, closed_forms)]
     failures = []
-    for sample in sweep.samples:
-        closed = enclosure_closed_form(sample.tau, phi)
-        rel_err = abs(sample.value - closed) / abs(closed)
-        rows.append(
-            {
-                "tau": sample.tau,
-                "re": sample.value.real,
-                "im": sample.value.imag,
-                "modulus": sample.modulus,
-                "log_over_tau": sample.log_over_tau,
-                "closed_re": closed.real,
-                "closed_im": closed.imag,
-                "rel_err": rel_err,
-            }
-        )
+    for sample, rel_err in zip(samples, rel_errs):
         if rel_err > ENCLOSURE_RTOL:
             failures.append(f"tau={sample.tau}: quadrature differs from -2 pi tau e^(-i phi) by rel {rel_err:.2e}")
     if not sweep.fitted_limit <= ENCLOSURE_LIMIT_BAR:
@@ -597,17 +582,26 @@ def run_enclosure(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     summary = {
         "tau_values": taus,
         "phi": phi,
-        "log_over_tau": [s.log_over_tau for s in sweep.samples],
+        "log_over_tau": log_over_tau,
         "fitted_limit": sweep.fitted_limit,
         "limit_bar": ENCLOSURE_LIMIT_BAR,
         "failures": failures,
         "passed": passed,
     }
-    columns = ["tau", "re", "im", "modulus", "log_over_tau", "closed_re", "closed_im", "rel_err"]
-    write_outputs(out_dir, "enclosure", columns, rows, summary, cfg)
+    table = {
+        "tau": [s.tau for s in samples],
+        "re": [s.value.real for s in samples],
+        "im": [s.value.imag for s in samples],
+        "modulus": [s.modulus for s in samples],
+        "log_over_tau": log_over_tau,
+        "closed_re": [closed.real for closed in closed_forms],
+        "closed_im": [closed.imag for closed in closed_forms],
+        "rel_err": rel_errs,
+    }
+    write_outputs(out_dir, "enclosure", table, summary, cfg)
     svgplot.line_chart(
         out_dir / "enclosure.svg",
-        [("(1/tau) log |I_tau|", taus, [s.log_over_tau for s in sweep.samples])],
+        [("(1/tau) log |I_tau|", taus, log_over_tau)],
         title="Enclosure decay, limit fit = " + f"{sweep.fitted_limit:.2e}",
         xlabel="tau",
         ylabel="(1/tau) log |I_tau|",

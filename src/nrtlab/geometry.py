@@ -11,6 +11,7 @@ inside the integration domain.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +160,17 @@ class QuadratureRule:
         return float(self.weights @ values)
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # numpy's leggauss costs milliseconds at the orders Runge fits use,
+    # and every fit asks for the same few; the arrays are shared, so
+    # they are read-only.
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: int) -> QuadratureRule:
     """Tensor rule on a disk: Gauss-Legendre in radius, trapezoid in angle.
 
@@ -170,7 +182,7 @@ def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: 
     """
     if radial_order < 1 or angular_order < 1:
         raise ValueError("quadrature orders must be >= 1")
-    x, wx = np.polynomial.legendre.leggauss(radial_order)
+    x, wx = _gauss_legendre(radial_order)
     r = 0.5 * region.radius * (x + 1.0)
     wr = wx * (0.5 * region.radius) * r
     theta = 2.0 * np.pi * np.arange(angular_order) / angular_order

@@ -141,18 +141,33 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
     cv.write(path)
 
 
-def _sign_color(value: float, vmax: float) -> str:
-    # Five intensity buckets per sign on an asinh scale; zero maps to white.
-    if value == 0.0 or vmax == 0.0:
-        return "#ffffff"
-    level = np.arcsinh(abs(value) / (0.05 * vmax)) / np.arcsinh(1.0 / 0.05)
-    bucket = min(4, int(level * 5.0))
-    shade = (0.15, 0.32, 0.5, 0.7, 0.9)[bucket]
-    if value < 0.0:
+def _shade_color(shade: float, negative: bool) -> str:
+    if negative:
         r, g, b = 1.0 - shade, 1.0 - 0.6 * shade, 1.0
     else:
         r, g, b = 1.0, 1.0 - 0.75 * shade, 1.0 - 0.75 * shade
     return f"#{int(round(255 * r)):02x}{int(round(255 * g)):02x}{int(round(255 * b)):02x}"
+
+
+# Five intensity buckets per sign on an asinh scale.  Code 0 is white
+# (zero), 1-5 shade blue (negative), 6-10 shade red (positive).
+_SHADES = (0.15, 0.32, 0.5, 0.7, 0.9)
+SIGN_COLORS = ("#ffffff",) + tuple(_shade_color(s, True) for s in _SHADES) + tuple(_shade_color(s, False) for s in _SHADES)
+
+
+def sign_codes(values: np.ndarray) -> np.ndarray:
+    """Index into SIGN_COLORS of every value, scaled by the largest |value|."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("sign map values must be finite")
+    vmax = float(np.abs(values).max())
+    if vmax == 0.0:
+        return np.zeros(values.shape, dtype=np.intp)
+    level = np.arcsinh(np.abs(values) / (0.05 * vmax)) / np.arcsinh(1.0 / 0.05)
+    bucket = np.minimum(4, (level * 5.0).astype(np.intp))
+    codes = np.where(values < 0.0, 1 + bucket, 6 + bucket)
+    codes[values == 0.0] = 0
+    return codes
 
 
 def sign_panels(path, fields, title="", panel_size=260, gap=24):
@@ -173,17 +188,17 @@ def sign_panels(path, fields, title="", panel_size=260, gap=24):
         y0 = margin + 16
         res = field.axis.size
         cell = panel_size / res
-        vmax = float(np.abs(field.values).max())
+        # Transposed so a row of codes runs along x1 at fixed x2.
+        codes = sign_codes(field.values).T
         for row in range(res):
-            # Column index j is x1, row index is x2; draw x2 upward.
+            # Draw x2 upward.
             y = y0 + panel_size - (row + 1) * cell
-            colors = [_sign_color(float(field.values[col, row]), vmax) for col in range(res)]
-            start = 0
-            for col in range(1, res + 1):
-                if col == res or colors[col] != colors[start]:
-                    if colors[start] != "#ffffff":
-                        cv.rect(x0 + start * cell, y, (col - start) * cell, cell, colors[start])
-                    start = col
+            line = codes[row]
+            starts = np.flatnonzero(np.diff(line, prepend=-1)).tolist()
+            for start, stop in zip(starts, starts[1:] + [res]):
+                code = int(line[start])
+                if code:
+                    cv.rect(x0 + start * cell, y, (stop - start) * cell, cell, SIGN_COLORS[code])
         half = float(field.axis[-1])
         scale = panel_size / (2.0 * half)
         cx = x0 + panel_size / 2.0

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nrtlab import checks
 from nrtlab.checks import (
     ENCLOSURE_NODES,
+    ENCLOSURE_SAMPLE_RTOL,
     MAX_TAU,
     enclosure_closed_form,
     enclosure_indicator,
@@ -219,6 +221,25 @@ def test_enclosure_sweep_decay_and_fit():
         assert_allclose(sample.log_over_tau, np.log(2.0 * np.pi * sample.tau) / sample.tau, rtol=1e-10)
     assert abs(sweep.fitted_limit) <= 1e-8
     assert sweep.fitted_limit <= 0.05
+
+
+def test_enclosure_sweep_ties_at_rounding_level_but_not_above(monkeypatch):
+    # tau = 3 and the next float give log|I|/tau values float64 cannot
+    # order; that is a tie, not a failed quadrature.
+    taus = [1.0, 2.0, 3.0, np.nextafter(3.0, 4.0)]
+    for phi in (0.0, 0.7, 2.5):
+        assert abs(enclosure_sweep(taus, phi, R).fitted_limit) <= 1e-14
+    # An error of ENCLOSURE_SAMPLE_RTOL on the last sample makes its
+    # value rise, but inside the stated bound; 1e-12 is far outside it.
+    exact = checks.enclosure_indicator
+    for rel, raises in ((ENCLOSURE_SAMPLE_RTOL, False), (1e-12, True)):
+        monkeypatch.setattr(checks, "enclosure_indicator", lambda tau, phi, r: exact(tau, phi, r) * (1.0 + rel * (tau > 3.0)))
+        if raises:
+            with pytest.raises(RuntimeError):
+                enclosure_sweep(taus, 0.0, R)
+        else:
+            decay = [s.log_over_tau for s in enclosure_sweep(taus, 0.0, R).samples]
+            assert decay[3] > decay[2]
 
 
 def test_enclosure_sweep_preconditions():

@@ -3,13 +3,24 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nrtlab import cli
-from nrtlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
+from nrtlab.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_CONFIG_ERROR,
+    EXIT_OK,
+    MAX_IDENTITY_ORDER,
+    MAX_IDENTITY_SAMPLES,
+    MAX_SIGN_HEIGHTS,
+    MAX_SIGN_RESOLUTION,
+    main,
+)
 from nrtlab.checks import MAX_TAU
 from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER
 
@@ -101,6 +112,13 @@ CONFIG_ERRORS = [
     ("verify-identity", {"identity_samples": "5"}),
     ("runge", {"runge_order": "x"}),
     ("runge", {"runge_order": MAX_RUNGE_ORDER + 1}),
+    ("sign-map", {"sign_resolution": 20001}),
+    ("sign-map", {"sign_resolution": MAX_SIGN_RESOLUTION + 2}),
+    ("sign-map", {"y3_values": [0.9 - 0.1 * k for k in range(MAX_SIGN_HEIGHTS + 1)]}),
+    ("verify-identity", {"identity_samples": 100000000}),
+    ("verify-identity", {"identity_samples": MAX_IDENTITY_SAMPLES + 1}),
+    ("verify-identity", {"identity_max_order": 100000000}),
+    ("verify-identity", {"identity_max_order": MAX_IDENTITY_ORDER + 1}),
 ]
 
 
@@ -130,6 +148,42 @@ def test_indicator_runs_at_the_order_cap(tmp_path):
     bounded, blow_up = payload["summary"]["regions"]
     assert blow_up["verdict"] == "BlowUp" and blow_up["values"] == ["inf"] * 3
     assert bounded["verdict"] == "Bounded"
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("sign-map", {"sign_resolution": MAX_SIGN_RESOLUTION, "y3_values": [0.2]}),
+        ("verify-identity", {"identity_samples": MAX_IDENTITY_SAMPLES, "identity_max_order": 1}),
+        ("verify-identity", {"identity_samples": 1, "identity_max_order": MAX_IDENTITY_ORDER}),
+    ],
+)
+def test_runs_at_the_caps(tmp_path, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("config", [{"y3_values": [1e-200]}, {"y3_values": [1e200]}, {"sign_half_width": 1e200}])
+def test_sign_map_non_finite_kernel_is_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["sign-map", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_enclosure_tau_tie_at_rounding_level_passes(tmp_path):
+    # 3 and the next float give log|I|/tau values float64 cannot order.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tau_values": [1, 2, 3, 3.0000000000000004]}))
+    out = tmp_path / "out"
+    assert main(["enclosure", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "enclosure.json").read_text())
+    assert abs(payload["summary"]["fitted_limit"]) <= 1e-14
 
 
 def test_sign_map_row_count(tmp_path):
@@ -227,12 +281,19 @@ def test_missing_subcommand_exits_with_usage():
     assert info.value.code == 2
 
 
+def child_env():
+    # A child process imports the nrtlab under test, wherever it was found.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "nrtlab.cli", "enclosure", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == EXIT_OK
     assert "PASS" in proc.stdout
@@ -241,5 +302,5 @@ def test_console_script_entry_point(tmp_path):
 
 def test_cli_imports_numpy_only():
     code = "import sys, nrtlab.cli; print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
     assert proc.stdout.strip() == "[]"

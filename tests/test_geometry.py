@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nrtlab import geometry
 from nrtlab.geometry import (
     CircleContour,
     DiskRegion,
@@ -111,6 +112,23 @@ def test_disk_quadrature_shifted_center():
     assert_allclose(rule.integrate(np.ones(rule.size)), area, rtol=1e-12)
     assert_allclose(rule.integrate(rule.nodes[:, 0]), 2.0 * area, rtol=1e-12)
     assert_allclose(rule.integrate(rule.nodes[:, 1]), -3.0 * area, rtol=1e-12)
+
+
+@pytest.mark.parametrize("order", [8, 60, 80])
+def test_disk_quadrature_cached_radial_rule_is_bit_identical(order):
+    # The radial Gauss-Legendre rule is cached per order; repeated
+    # builds must match an uncached build bit for bit, and the shared
+    # rule must not be writable through any caller.
+    disk = DiskRegion((1.3, 0.0), 0.25)
+    x, wx = np.polynomial.legendre.leggauss(order)
+    r = 0.5 * disk.radius * (x + 1.0)
+    wr = wx * (0.5 * disk.radius) * r
+    expected = np.outer(wr, np.full(24, 2.0 * np.pi / 24)).ravel()
+    first, second = build_disk_quadrature(disk, order, 24), build_disk_quadrature(disk, order, 24)
+    assert np.array_equal(first.weights, expected) and np.array_equal(second.weights, expected)
+    assert np.array_equal(first.nodes, second.nodes)
+    cached_x, cached_w = geometry._gauss_legendre(order)
+    assert not cached_x.flags.writeable and not cached_w.flags.writeable
 
 
 def test_contour_quadrature_moments():
