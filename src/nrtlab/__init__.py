@@ -39,7 +39,6 @@ from .harmonic import (
     contour_green_pairing,
     contour_pairing_pieces,
     dirichlet_disk_solve,
-    dirichlet_match,
     gap_neumann_trace,
     random_boundary_data,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "contour_green_pairing",
     "contour_pairing_pieces",
     "dirichlet_disk_solve",
-    "dirichlet_match",
     "enclosure_closed_form",
     "enclosure_indicator",
     "enclosure_sweep",

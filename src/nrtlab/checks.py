@@ -42,6 +42,9 @@ MAX_TAU = 1e6
 # Stated relative error bound of one enclosure sample against the
 # closed form (4.2e-16 is the largest seen over tau in [1e-8, MAX_TAU]).
 ENCLOSURE_SAMPLE_RTOL = 1e-15
+# Polar sample grid of the sign-indefiniteness certificate on its patch.
+CERTIFICATE_RADII = 48
+CERTIFICATE_ANGLES = 64
 
 
 def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: BoundaryData | None = None) -> tuple[float, float]:
@@ -164,7 +167,7 @@ def sign_map(y3: float, half_width: float = 1.0, resolution: int = 101) -> SignF
     return SignField(y3=float(y3), axis=axis, values=values, zero_radius_estimate=estimate)
 
 
-def sign_indefiniteness_certificate(y3_list, patch_radius: float, radial_samples: int = 48, angular_samples: int = 64) -> bool:
+def sign_indefiniteness_certificate(y3_list, patch_radius: float) -> bool:
     """Check that the kernel changes sign on one fixed patch for every y3.
 
     The patch is the disk of radius patch_radius about the origin in
@@ -183,8 +186,8 @@ def sign_indefiniteness_certificate(y3_list, patch_radius: float, radial_samples
         raise ValueError(f"heights must be strictly decreasing, got {heights}")
     if patch_radius <= 0.0:
         raise ValueError(f"patch_radius must be positive, got {patch_radius}")
-    radii = np.linspace(0.0, patch_radius, radial_samples + 1)[1:]
-    angles = np.linspace(0.0, 2.0 * np.pi, angular_samples, endpoint=False)
+    radii = np.linspace(0.0, patch_radius, CERTIFICATE_RADII + 1)[1:]
+    angles = np.linspace(0.0, 2.0 * np.pi, CERTIFICATE_ANGLES, endpoint=False)
     RR, TT = np.meshgrid(radii, angles, indexing="ij")
     x1 = RR * np.cos(TT)
     x2 = RR * np.sin(TT)

@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from .harmonic import (
 )
 from .indicator import (
     MAX_RUNGE_ORDER,
+    MAX_SWEEP_ORDER,
     IndicatorCurve,
     OriginOnBoundaryError,
     Verdict,
@@ -66,6 +69,8 @@ MAX_IDENTITY_SAMPLES = 1000
 MAX_IDENTITY_ORDER = 1024
 MAX_SIGN_RESOLUTION = 401
 MAX_SIGN_HEIGHTS = 8
+# The largest seed: 64 bits of entropy for numpy's generator.
+MAX_SEED = 2**64 - 1
 
 SWEEP_COLUMNS = ["N_or_t", "eps", "value", "cond_Q", "discarded_share", "verdict"]
 
@@ -120,7 +125,10 @@ class RunConfig:
 
 
 def load_config(path: Path | None, overrides: dict) -> RunConfig:
-    """Build a RunConfig from a JSON file plus non-None flag overrides."""
+    """Build a RunConfig from a JSON file plus non-None flag overrides.
+
+    Every field, default or not, then holds what its SCHEMA check returns.
+    """
     cfg = RunConfig()
     known = {f.name for f in fields(RunConfig)}
     if path is not None:
@@ -128,7 +136,7 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
             raw = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -140,63 +148,114 @@ def load_config(path: Path | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
-    _validate_common(cfg)
+    for f in fields(cfg):
+        setattr(cfg, f.name, SCHEMA[f.name](getattr(cfg, f.name), f.name))
     return cfg
 
 
-def _validate_common(cfg: RunConfig) -> None:
-    try:
-        cfg.boundary_radius = float(cfg.boundary_radius)
-        cfg.eps = float(cfg.eps)
-        cfg.seed = int(cfg.seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed numeric config value: {exc}") from exc
-    if not (np.isfinite(cfg.boundary_radius) and cfg.boundary_radius > 1.0):
-        raise ConfigError(f"boundary_radius must be finite and exceed 1 (the unit cavity radius), got {cfg.boundary_radius}")
-    if not (np.isfinite(cfg.eps) and cfg.eps > 0.0):
-        raise ConfigError(f"eps must be positive and finite, got {cfg.eps}")
-
-
-def _integer(value, name: str, lo: int, hi: int | None = None) -> int:
-    """A config integer in [lo, hi]; strings, floats and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
-        bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
-        raise ConfigError(f"{name} must be an integer {bounds}, got {value!r}")
+def _integer(value, name: str, lo: int, hi: int) -> int:
+    """A JSON integer in [lo, hi]; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
     return value
 
 
-def _finite(value, name: str) -> float:
+def _number(value, name: str, above: float = -math.inf) -> float:
+    """A finite JSON number greater than above, as a float; booleans and strings are refused."""
+    # ints compare exactly with floats, so an int beyond the float range fails too.
+    finite = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    if not (finite and value > above):
+        bound = f" above {above:g}" if above > -math.inf else ""
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
+def _instance(value, name: str, kind: type):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _list(value, name: str, item, lo: int = 1, hi: int | None = None) -> list:
+    """A JSON list of lo to hi entries, each passed through item(entry, "name[i]")."""
+    if not isinstance(value, list) or len(value) < lo or (hi is not None and len(value) > hi):
+        size = f"at least {lo}" if hi is None else f"{lo}" if hi == lo else f"{lo} to {hi}"
+        raise ConfigError(f"{name} must be a list of {size} entries, got {value!r}")
+    return [item(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+def _decreasing(value, name: str, lo: int, hi: int | None = None) -> list[float]:
+    """A list of lo to hi strictly decreasing positive numbers."""
+    values = _list(value, name, partial(_number, above=0.0), lo, hi)
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"{name} must be strictly decreasing, got {values}")
+    return values
+
+
+def _validated(value, name: str, item, validate) -> list:
+    """A list whose entries pass item and which then passes the library's own validate."""
+    checked = _list(value, name, item)
     try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
-    if not np.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return out
+        return validate(checked)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _finite_list(values, name: str) -> list[float]:
-    if not isinstance(values, list):
-        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
-    return [_finite(v, f"{name}[{i}]") for i, v in enumerate(values)]
+def _resolution(value, name: str) -> int:
+    if _integer(value, name, 3, MAX_SIGN_RESOLUTION) % 2 == 0:
+        raise ConfigError(f"{name} must be odd so the origin is a grid point, got {value}")
+    return value
+
+
+def _region(value, name: str) -> dict:
+    """A disk {"shape": "disk", "center": [x, y], "radius": r}, optionally with an expected verdict.
+
+    Its fit inside the ambient disk depends on boundary_radius; _parse_region checks that.
+    """
+    if not isinstance(value, dict) or value.get("shape", "disk") != "disk":
+        raise ConfigError(f"{name} must be a disk object with center and radius, got {value!r}")
+    _list(value.get("center"), f"{name}.center", _number, 2, 2)
+    _number(value.get("radius"), f"{name}.radius", above=0.0)
+    verdicts = [v.value for v in Verdict]
+    if "expect" in value and value["expect"] not in verdicts + [None]:
+        raise ConfigError(f"{name}.expect must be one of {sorted(verdicts)}, got {value['expect']!r}")
+    return value
+
+
+# The check of every RunConfig field: check(value, name) returns the
+# value the field holds, or raises ConfigError.  The README lists the
+# same types, bounds and caps.
+SCHEMA = {
+    "boundary_radius": partial(_number, above=1.0),
+    "eps": partial(_number, above=0.0),
+    "seed": partial(_integer, lo=0, hi=MAX_SEED),
+    "out_dir": partial(_instance, kind=str),
+    "strict": partial(_instance, kind=bool),
+    "regions": partial(_list, item=_region),
+    "orders": partial(_validated, item=partial(_integer, lo=1, hi=MAX_SWEEP_ORDER), validate=validate_orders),
+    "t_values": partial(_decreasing, lo=3),
+    "runge_order": partial(_integer, lo=1, hi=MAX_RUNGE_ORDER),
+    "runge_region": _region,
+    "tau_values": partial(_validated, item=_number, validate=validate_taus),
+    "enclosure_phi": _number,
+    "y3_values": partial(_decreasing, lo=1, hi=MAX_SIGN_HEIGHTS),
+    "sign_half_width": partial(_number, above=0.0),
+    "sign_resolution": _resolution,
+    "sign_patch_radius": partial(_number, above=0.0),
+    "identity_samples": partial(_integer, lo=1, hi=MAX_IDENTITY_SAMPLES),
+    "identity_max_order": partial(_integer, lo=1, hi=MAX_IDENTITY_ORDER),
+    "pairing_perturbation": _number,
+}
 
 
 def _parse_region(entry: dict, boundary_radius: float, label: str) -> tuple[DiskRegion, str | None]:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{label} must be an object with shape/center/radius, got {entry!r}")
-    expect = entry.get("expect")
-    if expect is not None and expect not in {v.value for v in Verdict}:
-        raise ConfigError(f"{label}: expect must be one of {sorted(v.value for v in Verdict)}, got {expect!r}")
-    try:
-        region = DiskRegion.from_dict(entry)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{label} is not a valid disk region: {exc}") from exc
+    region = DiskRegion.from_dict(entry)
     if np.hypot(*region.center) + region.radius >= boundary_radius:
         raise ConfigError(
             f"{label} disk(center={region.center}, radius={region.radius}) does not fit strictly "
             f"inside the ambient disk of radius {boundary_radius}"
         )
-    return region, expect
+    return region, entry.get("expect")
 
 
 def _jsonify(value):
@@ -264,21 +323,18 @@ def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: 
 
 def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Check the pairing identity on fixed modes plus random boundary data."""
-    samples = _integer(cfg.identity_samples, "identity_samples", 1, MAX_IDENTITY_SAMPLES)
-    max_order = _integer(cfg.identity_max_order, "identity_max_order", 1, MAX_IDENTITY_ORDER)
-    perturbation = _finite(cfg.pairing_perturbation, "pairing_perturbation")
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
-    if perturbation != 1.0:
-        w = w.scaled(perturbation)
+    if cfg.pairing_perturbation != 1.0:
+        w = w.scaled(cfg.pairing_perturbation)
     rng = np.random.default_rng(cfg.seed)
 
     cases: list[tuple[str, BoundaryData]] = [("const", BoundaryData.mode(0, "cos"))]
     for n in range(1, 5):
         cases.append((f"cos{n}", BoundaryData.mode(n, "cos")))
     cases.append(("sin3", BoundaryData.mode(3, "sin")))
-    for k in range(samples):
-        order = int(rng.integers(1, max_order + 1))
+    for k in range(cfg.identity_samples):
+        order = int(rng.integers(1, cfg.identity_max_order + 1))
         cases.append((f"random{k}", random_boundary_data(order, rng)))
 
     pairings, gradient_forms = zip(*(gradient_identity(g, R, w_trace=w) for _, g in cases))
@@ -313,12 +369,6 @@ def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Sweep the constrained sup over cutoff orders for each test region."""
-    if not cfg.regions:
-        raise ConfigError("regions must be a nonempty list")
-    try:
-        orders = validate_orders(cfg.orders)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     parsed = [_parse_region(entry, cfg.boundary_radius, f"regions[{i}]") for i, entry in enumerate(cfg.regions)]
 
     table = {column: [] for column in ["region"] + SWEEP_COLUMNS}
@@ -329,7 +379,7 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     for idx, (region, expect) in enumerate(parsed):
         label = f"disk({region.center[0]:g},{region.center[1]:g};r={region.radius:g})"
         try:
-            curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, orders)
+            curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, cfg.orders)
         except OriginOnBoundaryError as exc:
             for column, cell in zip(table, [label, "", cfg.eps, "", "", "", "refused"]):
                 table[column].append(cell)
@@ -337,8 +387,8 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
             soft_flags.append(f"region {idx} refused: origin on boundary")
             continue
         curves.append((label, curve))
-        n = len(orders)
-        cells = [[label] * n, orders, [curve.eps] * n, curve.values.tolist(), [""] * n, [""] * n, [curve.verdict.value] * n]
+        n = len(cfg.orders)
+        cells = [[label] * n, cfg.orders, [curve.eps] * n, curve.values.tolist(), [""] * n, [""] * n, [curve.verdict.value] * n]
         for column, values in zip(table, cells):
             table[column].extend(values)
         region_summaries.append(
@@ -358,7 +408,7 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     passed = not failures and not (cfg.strict and soft_flags)
     summary = {
         "eps": cfg.eps,
-        "orders": orders,
+        "orders": cfg.orders,
         "regions": region_summaries,
         "failures": failures,
         "soft_flags": soft_flags,
@@ -384,12 +434,7 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Drive the blow-up route with shifted log potentials as t -> 0."""
-    ts = _finite_list(cfg.t_values, "t_values")
-    if len(ts) < 3:
-        raise ConfigError(f"t_values needs at least 3 entries for the slope diagnostic, got {len(ts)}")
-    if any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ConfigError(f"t_values must be strictly decreasing positives, got {ts}")
-    order = _integer(cfg.runge_order, "runge_order", 1, MAX_RUNGE_ORDER)
+    ts = cfg.t_values
     region, _ = _parse_region(cfg.runge_region, cfg.boundary_radius, "runge_region")
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
@@ -400,9 +445,14 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     rel_errs = []
     zg_scaled_norms = []
     failures = []
-    for t in ts:
+    for i, t in enumerate(ts):
         try:
-            fit = runge_fit(t, region, R, order)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                fit = runge_fit(t, region, R, cfg.runge_order)
+        except FloatingPointError as exc:
+            raise ConfigError(
+                f"t_values[{i}]={t} with boundary_radius={R}: the Runge fit leaves the float64 range ({exc})"
+            ) from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         pairing = boundary_pairing(w, fit.g, R)
@@ -436,7 +486,7 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     passed = not failures and not (cfg.strict and soft_flags)
     summary = {
         "eps": cfg.eps,
-        "order": order,
+        "order": cfg.runge_order,
         "region": cfg.runge_region,
         "t_values": ts,
         "pairings": pairings,
@@ -483,18 +533,17 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Map the restricted kernel sign structure over decreasing heights."""
-    heights = _finite_list(cfg.y3_values, "y3_values")
-    if not 1 <= len(heights) <= MAX_SIGN_HEIGHTS:
-        raise ConfigError(f"y3_values must hold 1 to {MAX_SIGN_HEIGHTS} heights, got {len(heights)}")
-    if any(v <= 0 for v in heights) or any(b >= a for a, b in zip(heights, heights[1:])):
-        raise ConfigError(f"y3_values must be strictly decreasing positives, got {heights}")
-    half_width = _finite(cfg.sign_half_width, "sign_half_width")
-    patch_radius = _finite(cfg.sign_patch_radius, "sign_patch_radius")
-    if half_width <= 0 or patch_radius <= 0:
-        raise ConfigError("sign_half_width and sign_patch_radius must be positive")
-    resolution = _integer(cfg.sign_resolution, "sign_resolution", 3, MAX_SIGN_RESOLUTION)
-    if resolution % 2 == 0:
-        raise ConfigError(f"sign_resolution must be odd so the origin is a grid point, got {resolution}")
+    heights = cfg.y3_values
+    half_width = cfg.sign_half_width
+    resolution = cfg.sign_resolution
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            certificate = sign_indefiniteness_certificate(heights, cfg.sign_patch_radius)
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"sign_patch_radius={cfg.sign_patch_radius}, y3_values={heights}: the certificate's kernel samples "
+            f"leave the float64 range ({exc})"
+        ) from exc
 
     fields_out = []
     failures = []
@@ -525,7 +574,6 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
                     f"y3={y3}: zero-circle estimate {estimate} misses sqrt(2) y3 = {predicted:.4f} "
                     f"by more than one grid step {field_map.grid_step:.4f}"
                 )
-    certificate = sign_indefiniteness_certificate(heights, patch_radius)
     if not certificate:
         failures.append("sign indefiniteness certificate failed on the fixed patch")
 
@@ -534,7 +582,7 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "y3_values": heights,
         "half_width": half_width,
         "resolution": resolution,
-        "patch_radius": patch_radius,
+        "patch_radius": cfg.sign_patch_radius,
         "per_height": per_height,
         "certificate": certificate,
         "failures": failures,
@@ -560,11 +608,8 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
 def run_enclosure(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Sweep complex exponential probes and compare with the closed form."""
-    try:
-        taus = validate_taus(cfg.tau_values)
-    except ValueError as exc:
-        raise ConfigError(f"tau_values: {exc}") from exc
-    phi = _finite(cfg.enclosure_phi, "enclosure_phi")
+    taus = cfg.tau_values
+    phi = cfg.enclosure_phi
 
     sweep = enclosure_sweep(taus, phi, cfg.boundary_radius)
     samples = sweep.samples

@@ -58,10 +58,6 @@ class DiskRegion:
         object.__setattr__(self, "center", (cx, cy))
         object.__setattr__(self, "radius", float(self.radius))
 
-    @property
-    def area(self) -> float:
-        return np.pi * self.radius**2
-
     def contains(self, points, tol: float = 0.0):
         """Membership in the closed disk, with an optional additive margin."""
         pts, single = as_points(points)

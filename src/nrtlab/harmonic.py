@@ -97,16 +97,6 @@ class BoundaryData:
     def scaled(self, factor: float) -> "BoundaryData":
         return BoundaryData(self.cos_coeff * factor, self.sin_coeff * factor)
 
-    def __add__(self, other: "BoundaryData") -> "BoundaryData":
-        order = max(self.max_order, other.max_order)
-        cos_coeff = np.zeros(order + 1)
-        sin_coeff = np.zeros(order + 1)
-        cos_coeff[: self.cos_coeff.size] += self.cos_coeff
-        sin_coeff[: self.sin_coeff.size] += self.sin_coeff
-        cos_coeff[: other.cos_coeff.size] += other.cos_coeff
-        sin_coeff[: other.sin_coeff.size] += other.sin_coeff
-        return BoundaryData(cos_coeff, sin_coeff)
-
     def to_dict(self) -> dict:
         return {
             "max_order": self.max_order,
@@ -240,18 +230,6 @@ class HarmonicSeries:
         cos_coeff[0] += self.log_coeff * np.log(radius)
         return BoundaryData(cos_coeff, sin_coeff)
 
-    def radial_trace(self, radius: float) -> BoundaryData:
-        """Trace of the radial derivative d/dr on a circle about the origin."""
-        if radius <= 0.0:
-            raise ValueError(f"trace radius must be positive, got {radius}")
-        n = np.arange(self.max_order + 1)
-        up = n * radius ** (n - 1.0)
-        down = -n * radius ** (-n - 1.0)
-        cos_coeff = self.regular_cos * up + self.singular_cos * down
-        sin_coeff = self.regular_sin * up + self.singular_sin * down
-        cos_coeff[0] += self.log_coeff / radius
-        return BoundaryData(cos_coeff, sin_coeff)
-
     def to_dict(self) -> dict:
         return {
             "max_order": self.max_order,
@@ -346,11 +324,6 @@ def dirichlet_disk_solve(data: BoundaryData, boundary_radius: float) -> Harmonic
         regular_cos=data.cos_coeff * damp,
         regular_sin=data.sin_coeff * damp,
     )
-
-
-def dirichlet_match(u: HarmonicSeries, boundary_radius: float) -> HarmonicSeries:
-    """Full-disk harmonic function with the same trace as u on r = R."""
-    return dirichlet_disk_solve(u.trace(boundary_radius), boundary_radius)
 
 
 def gap_neumann_trace(u: HarmonicSeries, boundary_radius: float) -> BoundaryData:

@@ -60,6 +60,10 @@ MAX_SWEEP_ORDER = 1024
 # like N^3 (nodes ~ N^2 times 2N + 1 columns), so the cap bounds its time
 # and memory.
 MAX_RUNGE_ORDER = 96
+# blow_up_diagnostic's bars on the fitted slope of log(value) and its R^2.
+BLOW_UP_SLOPE = 0.8
+BLOW_UP_R2 = 0.9
+FLAT_SLOPE = 0.1
 
 
 class Verdict(enum.Enum):
@@ -163,7 +167,6 @@ class GramSystem:
     region: DiskRegion
     Q: np.ndarray
     b: np.ndarray
-    eigen_floor: float = EIGEN_FLOOR
 
     def __post_init__(self):
         dim = 2 * self.order + 1
@@ -189,18 +192,16 @@ def assemble_gram(
     cavity: DiskRegion,
     boundary_radius: float,
     order: int,
-    w_trace: BoundaryData | None = None,
     quad_orders: tuple[int, int] | None = None,
-    eigen_floor: float = EIGEN_FLOOR,
 ) -> GramSystem:
     """Build the Gram system for a test region at one cutoff order.
 
     The Gram matrix is assembled in the monomial basis 1, Re z^n, Im z^n
     (exact for the default quadrature orders, which integrate all
     products of degree <= 2*order) and rescaled by R^-n per column to
-    the unit-trace boundary modes.  When w_trace is omitted the Neumann
-    gap trace of the explicit unit-cavity solution at the given R is
-    used, which requires R > 1.
+    the unit-trace boundary modes.  The pairings use the Neumann gap
+    trace of the explicit unit-cavity solution at the given R, which
+    requires R > 1.
     """
     if order < 1:
         raise ValueError(f"cutoff order must be >= 1, got {order}")
@@ -214,8 +215,7 @@ def assemble_gram(
     Q = (A * damp[:, None]) * damp[None, :]
     Q = 0.5 * (Q + Q.T)
 
-    if w_trace is None:
-        w_trace = gap_neumann_trace(annulus_neumann_solution(boundary_radius), boundary_radius)
+    w_trace = gap_neumann_trace(annulus_neumann_solution(boundary_radius), boundary_radius)
     R = float(boundary_radius)
     b = np.zeros(2 * order + 1)
     b[0] = 2.0 * np.pi * R * w_trace.cos_coeff[0]
@@ -229,24 +229,41 @@ def assemble_gram(
         region=cavity,
         Q=Q,
         b=b,
-        eigen_floor=eigen_floor,
     )
 
 
-def _equilibrated_eigh(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric diagonal equilibration followed by eigendecomposition.
+def _truncated_eigh(M: np.ndarray, rhs: np.ndarray, what: str):
+    """Truncated pseudo-inverse pieces of a positive semidefinite system M x = rhs.
 
-    Scaling by 1/sqrt(diag Q) maps any diagonal rescaling of the same
-    system to the identical equilibrated matrix, so pseudo-inverse
-    results do not depend on how the basis columns were normalized.
+    Symmetric diagonal equilibration comes first: scaling by
+    1/sqrt(diag M) maps any diagonal rescaling of the same system to the
+    identical equilibrated matrix, so the results do not depend on how
+    the basis columns were normalized.  Eigendirections at or below
+    EIGEN_FLOOR relative to the top eigenvalue are dropped.  Returns
+    (scale, U, lam, proj) restricted to the kept directions, where proj
+    is the equilibrated rhs in the eigenbasis, together with the
+    condition number of the kept part and the share of |proj| in the
+    dropped directions.  Raises GramConditioningError when M fails the
+    positive-semidefinite check; what names M in the message.
     """
-    d = np.sqrt(np.abs(np.diag(Q)))
+    d = np.sqrt(np.abs(np.diag(M)))
     d[d == 0.0] = 1.0
     scale = 1.0 / d
-    Qs = (Q * scale[:, None]) * scale[None, :]
-    Qs = 0.5 * (Qs + Qs.T)
-    lam, U = np.linalg.eigh(Qs)
-    return scale, lam, U
+    Ms = (M * scale[:, None]) * scale[None, :]
+    Ms = 0.5 * (Ms + Ms.T)
+    lam, U = np.linalg.eigh(Ms)
+    lam_max = lam[-1]
+    if lam_max <= 0.0 or lam[0] < -1e-10 * lam_max:
+        raise GramConditioningError(
+            f"{what} is not positive semidefinite "
+            f"(eigenvalue range [{lam[0]:.3e}, {lam_max:.3e}])"
+        )
+    keep = lam > EIGEN_FLOOR * lam_max
+    proj = U.T @ (scale * rhs)
+    cond = float(lam_max / lam[keep].min()) if np.any(keep) else float("inf")
+    proj_norm = float(np.linalg.norm(proj))
+    discarded = float(np.linalg.norm(proj[~keep]) / proj_norm) if proj_norm > 0.0 else 0.0
+    return scale, U[:, keep], lam[keep], proj[keep], cond, discarded
 
 
 @dataclass(frozen=True)
@@ -268,7 +285,7 @@ def sup_indicator(system: GramSystem, eps: float) -> SupResult:
     """Exact sup of |b^T c| over the ellipsoid c^T Q c <= eps^2.
 
     Computed as eps * sqrt(b^T Q^+ b) through an equilibrated
-    eigendecomposition.  Eigendirections below eigen_floor (relative to
+    eigendecomposition.  Eigendirections below EIGEN_FLOOR (relative to
     the top eigenvalue) are dropped; if those directions carry more than
     a tiny share of b the true sup is infinite within this order and the
     result is flagged unbounded, with the finite part still reported.
@@ -277,29 +294,8 @@ def sup_indicator(system: GramSystem, eps: float) -> SupResult:
     """
     if eps <= 0.0:
         raise ValueError(f"constraint radius eps must be positive, got {eps}")
-    scale, lam, U = _equilibrated_eigh(system.Q)
-    lam_max = lam[-1]
-    if lam_max <= 0.0 or lam[0] < -1e-10 * lam_max:
-        raise GramConditioningError(
-            f"Gram matrix at order {system.order} is not positive semidefinite "
-            f"(eigenvalue range [{lam[0]:.3e}, {lam_max:.3e}])"
-        )
-    keep = lam > system.eigen_floor * lam_max
-    b_eq = scale * system.b
-    proj = U.T @ b_eq
-    norm_b = float(np.linalg.norm(b_eq))
-    if norm_b == 0.0:
-        discarded = 0.0
-    else:
-        discarded = float(np.linalg.norm(proj[~keep]) / norm_b)
-    if np.any(keep):
-        gain = float(np.sqrt(np.sum(proj[keep] ** 2 / lam[keep])))
-        cond = float(lam_max / lam[keep].min())
-        n_retained = int(np.count_nonzero(keep))
-    else:
-        gain = 0.0
-        cond = float("inf")
-        n_retained = 0
+    _, _, lam, proj, cond, discarded = _truncated_eigh(system.Q, system.b, f"Gram matrix at order {system.order}")
+    gain = float(np.sqrt(np.sum(proj**2 / lam)))
     return SupResult(
         order=system.order,
         eps=float(eps),
@@ -308,7 +304,7 @@ def sup_indicator(system: GramSystem, eps: float) -> SupResult:
         cond=cond,
         discarded_share=discarded,
         unbounded=discarded > UNBOUNDED_SHARE,
-        n_retained=n_retained,
+        n_retained=lam.size,
         n_total=system.dim,
     )
 
@@ -507,8 +503,6 @@ def runge_fit(
     cavity: DiskRegion,
     boundary_radius: float,
     order: int,
-    quad_orders: tuple[int, int] | None = None,
-    eigen_floor: float = EIGEN_FLOOR,
 ) -> RungeFit:
     """Fit E_t(x) = log|x - t e1| on G union B_{t/2}(0) at cutoff order N.
 
@@ -538,8 +532,7 @@ def runge_fit(
             f"ball of radius {t} about the origin; move the cavity or shrink t"
         )
     ball = DiskRegion((0.0, 0.0), 0.5 * t)
-    if quad_orders is None:
-        quad_orders = (max(order + 16, 60), max(2 * order + 32, 160))
+    quad_orders = (max(order + 16, 60), max(2 * order + 32, 160))
     probe = LogSource(point)
 
     dim = 2 * order + 1
@@ -564,19 +557,8 @@ def runge_fit(
             cavity_sq = sq
     A = 0.5 * (A + A.T)
 
-    scale, lam, U = _equilibrated_eigh(A)
-    lam_max = lam[-1]
-    if lam_max <= 0.0 or lam[0] < -1e-10 * lam_max:
-        raise GramConditioningError(
-            f"fit normal matrix at order {order} is not positive semidefinite "
-            f"(eigenvalue range [{lam[0]:.3e}, {lam_max:.3e}])"
-        )
-    keep = lam > eigen_floor * lam_max
-    proj = U.T @ (scale * beta)
-    coeff = scale * (U[:, keep] @ (proj[keep] / lam[keep]))
-    cond = float(lam_max / lam[keep].min()) if np.any(keep) else float("inf")
-    proj_norm = float(np.linalg.norm(proj))
-    discarded_share = float(np.linalg.norm(proj[~keep]) / proj_norm) if proj_norm > 0.0 else 0.0
+    scale, U, lam, proj, cond, discarded_share = _truncated_eigh(A, beta, f"fit normal matrix at order {order}")
+    coeff = scale * (U @ (proj / lam))
 
     residual_sq = probe_sq - 2.0 * float(coeff @ beta) + float(coeff @ A @ coeff)
     residual = float(np.sqrt(max(residual_sq, 0.0)))
@@ -603,7 +585,7 @@ def runge_fit(
         zg_norm_on_G=zg_norm_on_G,
         cond=cond,
         discarded_share=discarded_share,
-        n_retained=int(np.count_nonzero(keep)),
+        n_retained=lam.size,
     )
 
 
@@ -647,17 +629,12 @@ def log_slope(curve: IndicatorCurve) -> tuple[float, float]:
     return slope, r2
 
 
-def blow_up_diagnostic(
-    curve: IndicatorCurve,
-    slope_threshold: float = 0.8,
-    flat_threshold: float = 0.1,
-    r2_threshold: float = 0.9,
-) -> Verdict:
+def blow_up_diagnostic(curve: IndicatorCurve) -> Verdict:
     """Classify a sweep curve by the slope of log(value) against the sweep axis.
 
-    A fitted slope >= slope_threshold with regression R^2 >=
-    r2_threshold reads as blow-up, slope <= flat_threshold as bounded,
-    anything else as inconclusive.  Needs at least three samples and
+    A fitted slope >= BLOW_UP_SLOPE with regression R^2 >= BLOW_UP_R2
+    reads as blow-up, |slope| <= FLAT_SLOPE as bounded, anything else as
+    inconclusive.  Needs at least three samples and
     strictly positive values (an all-zero curve is bounded outright).
     """
     if curve.grid.size < 3:
@@ -665,8 +642,8 @@ def blow_up_diagnostic(
     if np.all(curve.values == 0.0):
         return Verdict.BOUNDED
     slope, r2 = log_slope(curve)
-    if slope >= slope_threshold and r2 >= r2_threshold:
+    if slope >= BLOW_UP_SLOPE and r2 >= BLOW_UP_R2:
         return Verdict.BLOW_UP
-    if abs(slope) <= flat_threshold:
+    if abs(slope) <= FLAT_SLOPE:
         return Verdict.BOUNDED
     return Verdict.INCONCLUSIVE

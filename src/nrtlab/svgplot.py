@@ -100,8 +100,9 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
         if logy:
             keep &= ys > 0
         cleaned.append((label, xs[keep], ys[keep]))
-    all_x = np.concatenate([xs for _, xs, _ in cleaned if xs.size]) if any(xs.size for _, xs, _ in cleaned) else np.array([0.0, 1.0])
-    all_y = np.concatenate([ys for _, _, ys in cleaned if ys.size]) if any(ys.size for _, _, ys in cleaned) else np.array([0.0, 1.0])
+    # With no point left to plot, an axis spans [1, 10]: positive, so a log axis has finite ticks too.
+    all_x = np.concatenate([xs for _, xs, _ in cleaned if xs.size]) if any(xs.size for _, xs, _ in cleaned) else np.array([1.0, 10.0])
+    all_y = np.concatenate([ys for _, _, ys in cleaned if ys.size]) if any(ys.size for _, _, ys in cleaned) else np.array([1.0, 10.0])
 
     left, right, top, bottom = 70, 20, 40, 55
     plot_w = width - left - right

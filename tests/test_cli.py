@@ -1,6 +1,7 @@
 """End-to-end CLI runs: outputs, determinism and exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -119,6 +120,20 @@ CONFIG_ERRORS = [
     ("verify-identity", {"identity_samples": MAX_IDENTITY_SAMPLES + 1}),
     ("verify-identity", {"identity_max_order": 100000000}),
     ("verify-identity", {"identity_max_order": MAX_IDENTITY_ORDER + 1}),
+    ("indicator", {"strict": "false"}),
+    ("verify-identity", {"seed": 5.7}),
+    ("verify-identity", {"seed": 1e30}),
+    ("verify-identity", {"seed": -1}),
+    ("indicator", {"regions": 5}),
+    ("indicator", {"orders": [True, 8, 16]}),
+    ("enclosure", {"tau_values": [True, 2, 3, 4]}),
+    ("sign-map", {"sign_patch_radius": 1e100}),
+    ("sign-map", {"sign_patch_radius": 1e300}),
+    ("indicator", {"sign_resolution": 4}),
+    ("runge", {"t_values": [0.5, 0.25, True]}),
+    ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expect": ["Bounded"]}]}),
+    ("indicator", {"regions": [{"center": [False, 0], "radius": 0.5}]}),
+    ("indicator", {"eps": 10**400}),
 ]
 
 
@@ -133,8 +148,38 @@ def test_indicator_config_errors_exit_2_before_any_sweep(tmp_path, monkeypatch, 
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert "config error:" in err and "Traceback" not in err
+    assert err.startswith(f"config error: {next(iter(config))}") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"t_values": [1e-300, 1e-301, 1e-302]}, {"boundary_radius": 1e10}])
+def test_runge_fit_out_of_float_range_is_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_values[0]=") and "boundary_radius=" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_load_config_checks_every_field_once():
+    assert list(cli.SCHEMA) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    cfg = cli.load_config(None, {"eps": 1, "seed": 3})
+    assert cfg.eps == 1.0 and isinstance(cfg.eps, float) and cfg.seed == 3
+    assert cfg.t_values == [0.5, 0.25, 0.125] and cfg.orders == [4, 8, 16, 24, 32]
+
+
+def test_indicator_with_every_value_inf_writes_finite_ticks(tmp_path):
+    # eps near the float64 maximum sends every sup to inf, so nothing is
+    # left to plot on the log axis.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"eps": 1e308}))
+    out = tmp_path / "out"
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "indicator.json").read_text())
+    assert all(v == "inf" for region in payload["summary"]["regions"] for v in region["values"])
+    assert "nan" not in (out / "indicator.svg").read_text()
 
 
 def test_indicator_runs_at_the_order_cap(tmp_path):
@@ -301,6 +346,6 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_cli_imports_numpy_only():
-    code = "import sys, nrtlab.cli; print(sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))"
+    code = "import sys, nrtlab.cli; print(sorted({'scipy', 'mpmath', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
     assert proc.stdout.strip() == "[]"

@@ -1,0 +1,96 @@
+"""Property tests of the config schema: any JSON value either passes its check or is a config error."""
+
+import dataclasses
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nrtlab import cli
+from nrtlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, ConfigError, load_config, main
+
+FIELDS = [f.name for f in dataclasses.fields(cli.RunConfig)]
+
+# Arbitrary JSON, with the numbers that sit on or beyond the edges of a
+# float64 and of the schema's bounds.
+edge_numbers = st.sampled_from([0, 1, -1, 3, 4, 1.0, 0.5, -0.0, 1e-300, 1e300, 2**64, 10**400, 1e6, 1024, 1025])
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | edge_numbers | st.text(max_size=4)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(["shape", "center", "radius", "expect", "x"]), inner, max_size=4),
+    max_leaves=10,
+)
+# Values near the valid ones of each field, so that configs also pass
+# the schema and runs get past it.
+numbers = st.floats(min_value=0.01, max_value=100.0) | edge_numbers
+increasing = st.lists(numbers, max_size=9, unique=True).map(sorted)
+decreasing = increasing.map(lambda values: values[::-1])
+disks = st.fixed_dictionaries(
+    {"center": st.lists(numbers, min_size=2, max_size=2), "radius": numbers},
+    optional={"expect": st.sampled_from(["Bounded", "BlowUp", "Inconclusive", "bounded", None])},
+)
+NEAR_VALID = {
+    "boundary_radius": numbers,
+    "eps": numbers,
+    "seed": st.integers(min_value=-2, max_value=2**65),
+    "out_dir": st.text(max_size=4),
+    "strict": st.booleans(),
+    "regions": st.lists(disks, max_size=3),
+    "orders": st.lists(st.integers(min_value=-2, max_value=1030), max_size=5).map(sorted),
+    "t_values": decreasing,
+    "runge_order": st.integers(min_value=-2, max_value=100),
+    "runge_region": disks,
+    "tau_values": increasing,
+    "enclosure_phi": numbers,
+    "y3_values": decreasing,
+    "sign_half_width": numbers,
+    "sign_resolution": st.integers(min_value=-2, max_value=410),
+    "sign_patch_radius": numbers,
+    "identity_samples": st.integers(min_value=-2, max_value=1010),
+    "identity_max_order": st.integers(min_value=-2, max_value=1030),
+    "pairing_perturbation": numbers,
+}
+
+
+def configs(fields):
+    """Configs that set a few of the given fields, each to arbitrary JSON or to a near-valid value."""
+
+    def values(names):
+        return st.fixed_dictionaries({name: json_values | NEAR_VALID[name] for name in names})
+
+    return st.lists(st.sampled_from(fields), max_size=3, unique=True).flatmap(values)
+
+
+def write(tmp_path, config) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=configs(FIELDS))
+def test_load_config_returns_checked_fields_or_config_error(tmp_path, config):
+    try:
+        cfg = load_config(write(tmp_path, config), {})
+    except ConfigError:
+        return
+    for name in FIELDS:
+        value = getattr(cfg, name)
+        assert cli.SCHEMA[name](value, name) == value
+
+
+INDICATOR = ["boundary_radius", "eps", "strict", "regions", "orders"]
+ENCLOSURE = ["boundary_radius", "tau_values", "enclosure_phi"]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["indicator", "enclosure"]),
+    indicator=configs(INDICATOR),
+    enclosure=configs(ENCLOSURE),
+)
+def test_main_exits_0_1_or_2(tmp_path, capsys, command, indicator, enclosure):
+    config = indicator if command == "indicator" else enclosure
+    code = main([command, "--config", write(tmp_path, config), "--out", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
+    assert "Traceback" not in capsys.readouterr().err
