@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -69,10 +70,13 @@ MAX_IDENTITY_SAMPLES = 1000
 MAX_IDENTITY_ORDER = 1024
 MAX_SIGN_RESOLUTION = 401
 MAX_SIGN_HEIGHTS = 8
+MAX_T_VALUES = 8
+MAX_REGIONS = 64
+MAX_TAU_VALUES = 1000
 # The largest seed: 64 bits of entropy for numpy's generator.
 MAX_SEED = 2**64 - 1
 
-SWEEP_COLUMNS = ["N_or_t", "eps", "value", "cond_Q", "discarded_share", "verdict"]
+SWEEP_COLUMNS = ["N_or_t", "eps", "value", "verdict"]
 
 
 class ConfigError(ValueError):
@@ -192,13 +196,28 @@ def _decreasing(value, name: str, lo: int, hi: int | None = None) -> list[float]
     return values
 
 
-def _validated(value, name: str, item, validate) -> list:
-    """A list whose entries pass item and which then passes the library's own validate."""
-    checked = _list(value, name, item)
+def _validated(value, name: str, item, validate, hi: int | None = None) -> list:
+    """A list of at most hi entries that pass item, which then passes the library's own validate."""
+    checked = _list(value, name, item, hi=hi)
     try:
         return validate(checked)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _out_dir(value, name: str) -> str:
+    """A directory path that exists or can be created: its nearest existing ancestor is a writable directory."""
+    _instance(value, name, str)
+    try:
+        probe = Path(value).absolute()
+        while not probe.exists():
+            probe = probe.parent
+        usable = probe.is_dir() and os.access(probe, os.W_OK | os.X_OK)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{name} {value!r} is not a usable path: {exc}") from exc
+    if not usable:
+        raise ConfigError(f"{name} {value!r} cannot be created: {probe} is not a writable directory")
+    return value
 
 
 def _resolution(value, name: str) -> int:
@@ -229,14 +248,14 @@ SCHEMA = {
     "boundary_radius": partial(_number, above=1.0),
     "eps": partial(_number, above=0.0),
     "seed": partial(_integer, lo=0, hi=MAX_SEED),
-    "out_dir": partial(_instance, kind=str),
+    "out_dir": _out_dir,
     "strict": partial(_instance, kind=bool),
-    "regions": partial(_list, item=_region),
+    "regions": partial(_list, item=_region, hi=MAX_REGIONS),
     "orders": partial(_validated, item=partial(_integer, lo=1, hi=MAX_SWEEP_ORDER), validate=validate_orders),
-    "t_values": partial(_decreasing, lo=3),
+    "t_values": partial(_decreasing, lo=3, hi=MAX_T_VALUES),
     "runge_order": partial(_integer, lo=1, hi=MAX_RUNGE_ORDER),
     "runge_region": _region,
-    "tau_values": partial(_validated, item=_number, validate=validate_taus),
+    "tau_values": partial(_validated, item=_number, validate=validate_taus, hi=MAX_TAU_VALUES),
     "enclosure_phi": _number,
     "y3_values": partial(_decreasing, lo=1, hi=MAX_SIGN_HEIGHTS),
     "sign_half_width": partial(_number, above=0.0),
@@ -381,14 +400,14 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         try:
             curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, cfg.orders)
         except OriginOnBoundaryError as exc:
-            for column, cell in zip(table, [label, "", cfg.eps, "", "", "", "refused"]):
+            for column, cell in zip(table, [label, "", cfg.eps, "", "refused"]):
                 table[column].append(cell)
             region_summaries.append({"region": label, "verdict": "refused", "reason": str(exc), "expect": expect})
             soft_flags.append(f"region {idx} refused: origin on boundary")
             continue
         curves.append((label, curve))
         n = len(cfg.orders)
-        cells = [[label] * n, cfg.orders, [curve.eps] * n, curve.values.tolist(), [""] * n, [""] * n, [curve.verdict.value] * n]
+        cells = [[label] * n, cfg.orders, [curve.eps] * n, curve.values.tolist(), [curve.verdict.value] * n]
         for column, values in zip(table, cells):
             table[column].extend(values)
         region_summaries.append(
@@ -438,27 +457,41 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     region, _ = _parse_region(cfg.runge_region, cfg.boundary_radius, "runge_region")
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
+    # The convergence table's orders: 8, 16, ... below runge_order, then runge_order.
+    orders = list(range(8, cfg.runge_order, 8)) + [cfg.runge_order]
 
     fits = []
     pairings = []
     scaled_values = []
     rel_errs = []
     zg_scaled_norms = []
+    convergence = []
     failures = []
     for i, t in enumerate(ts):
+        target = 2.0 * np.pi / t
+        table_t = {"t": t, "orders": orders, "rel_err": [], "pairing_bound": [], "residual": []}
+        where = f"t_values[{i}]={t} with eps={cfg.eps}, boundary_radius={R} and runge_region={cfg.runge_region}"
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                fit = runge_fit(t, region, R, cfg.runge_order)
+                for order in orders:
+                    fit = runge_fit(t, region, R, order)
+                    pairing = boundary_pairing(w, fit.g, R)
+                    rel_err = abs(pairing - target) / target
+                    table_t["rel_err"].append(rel_err)
+                    table_t["pairing_bound"].append(fit.pairing_bound)
+                    table_t["residual"].append(fit.residual)
+                    if rel_err > fit.pairing_bound:
+                        failures.append(
+                            f"t={t}, N={order}: pairing error {rel_err:.2e} exceeds its certified bound "
+                            f"{fit.pairing_bound:.2e}"
+                        )
+                # The table ends at runge_order, so fit, pairing and rel_err are that fit's.
+                g_scaled = scaled_sequence(fit, cfg.eps)
         except FloatingPointError as exc:
-            raise ConfigError(
-                f"t_values[{i}]={t} with boundary_radius={R}: the Runge fit leaves the float64 range ({exc})"
-            ) from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        pairing = boundary_pairing(w, fit.g, R)
-        target = 2.0 * np.pi / t
-        rel_err = abs(pairing - target) / target
-        g_scaled = scaled_sequence(fit, cfg.eps)
+            raise ConfigError(f"{where}: the Runge fit or its scaled data leaves the float64 range ({exc})") from exc
+        except ValueError as exc:  # a refused geometry, or a probe norm on G that underflowed to 0
+            raise ConfigError(f"{where}: {exc}") from exc
+        convergence.append(table_t)
         scaled_value = boundary_pairing(w, g_scaled, R)
         zg_scaled = fit.zg_norm_on_G * cfg.eps / (2.0 * fit.norm_on_G)
         fits.append(fit)
@@ -466,22 +499,33 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         scaled_values.append(scaled_value)
         rel_errs.append(rel_err)
         zg_scaled_norms.append(zg_scaled)
-        if rel_err > RUNGE_PAIRING_RTOL:
-            failures.append(f"t={t}: pairing {pairing:.6g} misses 2 pi / t = {target:.6g} (rel {rel_err:.2e})")
+        if not rel_err <= RUNGE_PAIRING_RTOL:  # nan where 2 pi / t overflows
+            failures.append(
+                f"t={t}: pairing {pairing:.6g} misses 2 pi / t = {target:.6g} "
+                f"(rel {rel_err:.2e}, certified bound {fit.pairing_bound:.2e})"
+            )
         lo, hi = RUNGE_NORM_WINDOW
         if not (lo * cfg.eps < zg_scaled < hi * cfg.eps):
             failures.append(f"t={t}: scaled lift norm {zg_scaled:.3e} outside ({lo} eps, {hi} eps)")
 
-    curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.array(pairings), eps=cfg.eps)
-    verdict = blow_up_diagnostic(curve)
     soft_flags = []
-    if verdict is not Verdict.BLOW_UP:
-        message = f"diagnostic verdict {verdict.value} on the pairing curve (expected BlowUp)"
-        if verdict is Verdict.INCONCLUSIVE:
-            soft_flags.append(message)
-        else:
-            failures.append(message)
-    ratios = [b / a for a, b in zip(scaled_values, scaled_values[1:])]
+    # The slope diagnostic reads log(pairing), which needs a positive curve.
+    nonpositive = [(t, p) for t, p in zip(ts, pairings) if not p > 0.0]
+    if nonpositive:
+        verdict = "undefined"
+        failures += [f"t={t}: pairing {p:.6g} is not positive, so the pairing curve has no log slope"
+                     for t, p in nonpositive]
+    else:
+        curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.array(pairings), eps=cfg.eps)
+        verdict = blow_up_diagnostic(curve).value
+        if verdict != Verdict.BLOW_UP.value:
+            message = f"diagnostic verdict {verdict} on the pairing curve (expected BlowUp)"
+            if verdict == Verdict.INCONCLUSIVE.value:
+                soft_flags.append(message)
+            else:
+                failures.append(message)
+    # Past R ~ 1e154 the gap trace's R^-2 underflows and a pairing can be 0.
+    ratios = [b / a if a != 0.0 else math.nan for a, b in zip(scaled_values, scaled_values[1:])]
 
     passed = not failures and not (cfg.strict and soft_flags)
     summary = {
@@ -492,7 +536,8 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "pairings": pairings,
         "scaled_values": scaled_values,
         "scaled_growth_ratios": ratios,
-        "verdict": verdict.value,
+        "convergence": convergence,
+        "verdict": verdict,
         "failures": failures,
         "soft_flags": soft_flags,
         "strict": cfg.strict,
@@ -503,16 +548,16 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "N_or_t": ts,
         "eps": [cfg.eps] * len(ts),
         "value": scaled_values,
-        "cond_Q": [fit.cond for fit in fits],
-        "discarded_share": [fit.discarded_share for fit in fits],
-        "verdict": [verdict.value] * len(ts),
+        "verdict": [verdict] * len(ts),
         "pairing": pairings,
         "target": targets,
         "rel_err": rel_errs,
+        "pairing_bound": [fit.pairing_bound for fit in fits],
         "residual": [fit.residual for fit in fits],
         "probe_norm_G": [fit.norm_on_G for fit in fits],
         "zg_norm_G": [fit.zg_norm_on_G for fit in fits],
         "zg_scaled_norm": zg_scaled_norms,
+        "log10_max_g": [fit.log10_max_g for fit in fits],
     }
     write_outputs(out_dir, "runge", table, summary, cfg)
     svgplot.line_chart(

@@ -22,8 +22,9 @@ and its pseudo-inverse sup stay as a low-order reference.
 
 The module provides the Gram assembly, the pseudo-inverse sup with its
 discarded-mass diagnostics, the exact series sweep over N with a
-verdict, the log-potential fit that drives the blow-up route, and a
-slope-based diagnostic for curves of indicator values.
+verdict, the boundary least-squares fit of the log potential that drives
+the blow-up route, and a slope-based diagnostic for curves of indicator
+values.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .geometry import (
 )
 from .harmonic import (
     BoundaryData,
-    LogSource,
     annulus_neumann_solution,
     gap_neumann_trace,
 )
@@ -56,9 +56,10 @@ UNBOUNDED_SHARE = 1e-8
 # Largest cutoff order a sweep accepts.  The series costs O(N), so the
 # cap bounds the run time of every sweep.
 MAX_SWEEP_ORDER = 1024
-# Largest cutoff order a Runge fit accepts.  The fit's basis matrices grow
-# like N^3 (nodes ~ N^2 times 2N + 1 columns), so the cap bounds its time
-# and memory.
+# Largest cutoff order a Runge fit accepts.  The fit samples m = 4N + 16
+# points on each of two circles, so its arrays grow like N^2 and its time
+# like N^3 (N Arnoldi steps against up to N + 1 rows, and a 2m x (2N + 1)
+# least-squares solve); the cap bounds both.
 MAX_RUNGE_ORDER = 96
 # blow_up_diagnostic's bars on the fitted slope of log(value) and its R^2.
 BLOW_UP_SLOPE = 0.8
@@ -476,13 +477,17 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
 
 @dataclass(frozen=True)
 class RungeFit:
-    """Least-squares fit of a shifted log potential by harmonic polynomials.
+    """Least-squares fit P of a shifted log potential by harmonic polynomials.
 
-    g is the boundary trace of the fitted combination on r = R; its
-    harmonic lift back into the disk reproduces the fit exactly, so
-    zg_norm_on_G measures how small the lift stays on the test region
-    while the pairing l(g) tracks the potential's gradient at the
-    origin.
+    g keeps the modes n <= 1 of P's trace on r = R, built from P(0) and
+    grad P(0): those are the only modes the cavity's gap trace pairs
+    with, so l(g) = -2 pi dx P(0) and the lift of g matches P to first
+    order at the origin.  residual is the H1 misfit of P against E_t over
+    G and B, norm_on_G and zg_norm_on_G the H1(G) norms of E_t and of P.
+    pairing_bound bounds the relative error of l(g) against 2 pi / t,
+    and log10_max_g is log10 of max |P| on r = R, the size of the full
+    boundary data the fit stands for.  n_retained is the rank of the
+    least-squares matrix, out of 2 order + 1 columns.
     """
 
     t: float
@@ -493,9 +498,86 @@ class RungeFit:
     residual: float
     norm_on_G: float
     zg_norm_on_G: float
-    cond: float
-    discarded_share: float
+    pairing_bound: float
+    log10_max_g: float
     n_retained: int
+
+
+def _arnoldi(z: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vandermonde with Arnoldi on the points z, up to degree order.
+
+    Returns (Q, H): row k of Q holds q_k at the points, where q_0 = 1 and
+    q_{k+1} = (z q_k - sum_{i<=k} H[i, k] q_i) / H[k+1, k], every row of
+    2-norm sqrt(z.size) and the rows orthogonal (Brubeck, Nakatsukasa and
+    Trefethen, SIAM Review 63(2), 2021).  Each step is block classical
+    Gram-Schmidt with one reorthogonalisation.
+    """
+    count = z.size
+    Q = np.empty((order + 1, count), dtype=complex)
+    H = np.zeros((order + 1, order), dtype=complex)
+    Q[0] = 1.0
+    for k in range(order):
+        v = z * Q[k]
+        basis = Q[: k + 1]
+        for _ in range(2):
+            h = (basis @ v.conj()).conj() / count
+            v -= h @ basis
+            H[: k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(v) / math.sqrt(count)
+        Q[k + 1] = v / H[k + 1, k]
+    return Q, H
+
+
+def _arnoldi_real_part(H: np.ndarray, coeff: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int]:
+    """Re sum_k coeff[k] q_k at new points z, through H's recurrence, as (values, exponent).
+
+    The sum is values * 2**exponent.  Each q_k is carried as a row S_k
+    times 2**e_k, with S_k rescaled to a largest entry in [1/2, 1), so
+    the recurrence runs on circles far outside the fit points, where
+    q_k grows geometrically, without overflow.  Powers of two keep the
+    rescaling exact.
+    """
+    order = H.shape[1]
+    S = np.empty((order + 1, z.size), dtype=complex)
+    e = np.zeros(order + 1, dtype=int)
+    S[0] = 1.0
+    for k in range(order):
+        weights = H[: k + 1, k] * np.ldexp(1.0, e[: k + 1] - e[k])
+        v = (z * S[k] - weights @ S[: k + 1]) / H[k + 1, k]
+        _, shift = np.frexp(np.max(np.abs(v)))
+        S[k + 1] = v * np.ldexp(1.0, -shift)
+        e[k + 1] = e[k] + shift
+    top = int(e.max())
+    return ((coeff * np.ldexp(1.0, e - top)) @ S).real, top
+
+
+def _at_origin(H: np.ndarray, coeff: np.ndarray) -> tuple[complex, complex]:
+    """p(0) and p'(0) for p = sum_k coeff[k] q_k, through H's recurrence."""
+    order = H.shape[1]
+    q = np.zeros(order + 1, dtype=complex)
+    dq = np.zeros(order + 1, dtype=complex)
+    q[0] = 1.0
+    for k in range(order):
+        q[k + 1] = -(H[: k + 1, k] @ q[: k + 1]) / H[k + 1, k]
+        dq[k + 1] = (q[k] - H[: k + 1, k] @ dq[: k + 1]) / H[k + 1, k]
+    return coeff @ q, coeff @ dq
+
+
+def _h1_norm_sq(samples: np.ndarray, rho: float) -> np.ndarray:
+    """Squared H1 norm on disk(c, rho) of the harmonic functions with these traces.
+
+    Each row holds m equispaced samples on the circle about c.  With the
+    trace's Fourier coefficients a_n, b_n from one real FFT,
+    ||h||^2 = pi rho^2 a_0^2 + pi sum_{n>=1} (a_n^2 + b_n^2)(n + rho^2 / (2 (n + 1))),
+    summed over the modes n < m/2 the samples resolve.
+    """
+    m = samples.shape[-1]
+    # |F_n|^2 / m^2 is a_0^2 at n = 0 and (a_n^2 + b_n^2) / 4 above.
+    power = np.abs(np.fft.rfft(samples, axis=-1)[..., : (m + 1) // 2]) ** 2 / (m * m)
+    n = np.arange(power.shape[-1])
+    weight = 4.0 * np.pi * (n + rho * rho / (2.0 * (n + 1.0)))
+    weight[0] = np.pi * rho * rho
+    return power @ weight
 
 
 def runge_fit(
@@ -506,12 +588,19 @@ def runge_fit(
 ) -> RungeFit:
     """Fit E_t(x) = log|x - t e1| on G union B_{t/2}(0) at cutoff order N.
 
-    The fit minimizes the H1 misfit over the union of the test region
-    and a small ball around the origin.  Preconditions keep the
-    singular point t e1 away from both: it must lie strictly outside
-    the cavity closure, and the cavity must stay outside the closed
-    ball of radius t about the origin.  Requires t < R so the probe
-    point stays inside the ambient disk.
+    P = Re p for a complex polynomial p of degree <= N, fitted by real
+    least squares to E_t on m = 4N + 16 equispaced points on each of the
+    circles bounding G and the ball B = B_{t/2}(0), in the Arnoldi basis
+    of those 2m points.  t e1 lies outside both closed disks, so P - E_t
+    is harmonic on each and its boundary values control it: the H1 norms
+    come from the boundary Fourier coefficients, and since dx (P - E_t)(0)
+    is the Poisson average of (P - E_t) cos(theta) over the circle of B,
+    the relative pairing error is at most (8 / pi) max |P - E_t| on that
+    circle, taken on 4m points.  Preconditions keep the singular point
+    t e1 away from both disks: it must lie strictly outside the cavity
+    closure, and the cavity must stay outside the closed ball of radius t
+    about the origin.  Requires t < R so the probe point stays inside the
+    ambient disk.
     """
     validate_admissible(cavity, boundary_radius)
     if not (0.0 < t < boundary_radius):
@@ -531,51 +620,38 @@ def runge_fit(
             f"cavity disk(center={cavity.center}, radius={cavity.radius}) meets the closed "
             f"ball of radius {t} about the origin; move the cavity or shrink t"
         )
+    t = float(t)
+    R = float(boundary_radius)
     ball = DiskRegion((0.0, 0.0), 0.5 * t)
-    quad_orders = (max(order + 16, 60), max(2 * order + 32, 160))
-    probe = LogSource(point)
+    m = 4 * order + 16
+    circle = np.exp(2j * np.pi * np.arange(m) / m)
+    z = np.concatenate([complex(*cavity.center) + cavity.radius * circle, ball.radius * circle])
+    probe = np.log(np.abs(z - t))
 
-    dim = 2 * order + 1
-    A = np.zeros((dim, dim))
-    beta = np.zeros(dim)
-    probe_sq = 0.0
-    A_cavity = None
-    cavity_sq = 0.0
-    for region in (cavity, ball):
-        rule = build_disk_quadrature(region, quad_orders[0], quad_orders[1])
-        V, Gx, Gy = _harmonic_basis(order, rule.nodes)
-        part = _basis_gram(V, Gx, Gy, rule.weights)
-        fv = probe.eval(rule.nodes)
-        fg = probe.grad(rule.nodes)
-        load = V @ (rule.weights * fv) + Gx @ (rule.weights * fg[:, 0]) + Gy @ (rule.weights * fg[:, 1])
-        sq = rule.integrate(fv * fv + np.einsum("ij,ij->i", fg, fg))
-        A += part
-        beta += load
-        probe_sq += sq
-        if region is cavity:
-            A_cavity = part
-            cavity_sq = sq
-    A = 0.5 * (A + A.T)
+    Q, H = _arnoldi(z, order)
+    # P = sum_k a_k Re q_k - b_k Im q_k for coefficients a_k + i b_k;
+    # Im q_0 = 0, so b_0 has no column.
+    A = np.concatenate([Q.real, -Q[1:].imag]).T
+    x, _, rank, _ = np.linalg.lstsq(A, probe, rcond=None)
+    coeff = x[: order + 1] + 1j * np.concatenate([[0.0], x[order + 1 :]])
 
-    scale, U, lam, proj, cond, discarded_share = _truncated_eigh(A, beta, f"fit normal matrix at order {order}")
-    coeff = scale * (U @ (proj / lam))
+    fitted = A @ x
+    on_G = _h1_norm_sq(np.stack([fitted[:m] - probe[:m], fitted[:m], probe[:m]]), cavity.radius)
+    on_B = _h1_norm_sq(fitted[m:] - probe[m:], ball.radius)
+    residual = math.sqrt(on_G[0] + on_B)
+    zg_norm_on_G = math.sqrt(on_G[1])
+    norm_on_G = math.sqrt(on_G[2])
 
-    residual_sq = probe_sq - 2.0 * float(coeff @ beta) + float(coeff @ A @ coeff)
-    residual = float(np.sqrt(max(residual_sq, 0.0)))
-    norm_on_G = float(np.sqrt(max(cavity_sq, 0.0)))
-    zg_norm_on_G = float(np.sqrt(max(float(coeff @ A_cavity @ coeff), 0.0)))
+    fine = ball.radius * np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
+    values, exponent = _arnoldi_real_part(H, coeff, fine)
+    pairing_bound = 8.0 / np.pi * float(np.max(np.abs(np.ldexp(values, exponent) - np.log(np.abs(fine - t)))))
+    values, exponent = _arnoldi_real_part(H, coeff, R * circle)
+    log10_max_g = exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
 
-    n = np.arange(order + 1)
-    lift = float(boundary_radius) ** n.astype(float)
-    cos_coeff = np.zeros(order + 1)
-    sin_coeff = np.zeros(order + 1)
-    cos_coeff[0] = coeff[0]
-    for m in range(1, order + 1):
-        cos_coeff[m] = coeff[2 * m - 1] * lift[m]
-        sin_coeff[m] = coeff[2 * m] * lift[m]
-    g = BoundaryData(cos_coeff, sin_coeff)
+    p0, dp0 = _at_origin(H, coeff)
+    g = BoundaryData([p0.real, R * dp0.real], [0.0, -R * dp0.imag])
     return RungeFit(
-        t=float(t),
+        t=t,
         cavity=cavity,
         ball=ball,
         order=order,
@@ -583,18 +659,20 @@ def runge_fit(
         residual=residual,
         norm_on_G=norm_on_G,
         zg_norm_on_G=zg_norm_on_G,
-        cond=cond,
-        discarded_share=discarded_share,
-        n_retained=lam.size,
+        pairing_bound=pairing_bound,
+        log10_max_g=log10_max_g,
+        n_retained=int(rank),
     )
 
 
 def scaled_sequence(fit: RungeFit, eps: float) -> BoundaryData:
-    """Rescale the fitted boundary data so its lift has H1(G) norm near eps/2.
+    """Rescale the fitted boundary data so the fit has H1(G) norm near eps/2.
 
     The scale eps / (2 ||E_t||_{H1(G)}) uses the probe norm as the size
-    reference; since the lift tracks the probe on G, the scaled lift
-    lands close to eps/2 while the pairing inherits the same factor.
+    reference; since the fit P tracks the probe on G, the scaled P lands
+    close to eps/2 while the pairing inherits the same factor.  fit.g
+    holds only the modes of P's trace that the pairing sees, so the
+    result carries the scaled pairing, not the scaled P.
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")

@@ -230,3 +230,25 @@ def test_criterion_9_exact_series_growth():
     ]
     passed = all(ok for ok, _ in checks)
     _report(9, "exact series growth", passed, "; ".join(msg for _, msg in checks))
+
+
+def test_criterion_10_certified_runge_bound():
+    # The boundary fit's bound (8/pi) max |P - E_t| on the circle of B must
+    # hold on every fit, and the fit must converge to near rounding level.
+    w = gap_neumann_trace(annulus_neumann_solution(R), R)
+    worst_ratio = 0.0
+    at_96 = 0.0
+    for region in (BLOWUP_REGION, DiskRegion((1.1, -0.2), 0.3)):
+        for t in (0.5, 0.25):
+            for order in range(8, 97, 8):
+                fit = runge_fit(t, region, R, order)
+                rel = abs(boundary_pairing(w, fit.g, R) - 2.0 * np.pi / t) / (2.0 * np.pi / t)
+                worst_ratio = max(worst_ratio, rel / fit.pairing_bound)
+                if order == 96:
+                    at_96 = max(at_96, rel)
+    checks = [
+        (worst_ratio <= 1.0, f"max error/bound {worst_ratio:.2e} over 2 disks x 2 t x N=8..96"),
+        (at_96 <= 1e-9, f"max error at N=96 {at_96:.1e} (tol 1e-9)"),
+    ]
+    passed = all(ok for ok, _ in checks)
+    _report(10, "certified Runge bound", passed, "; ".join(msg for _, msg in checks))

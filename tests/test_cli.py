@@ -18,15 +18,18 @@ from nrtlab.cli import (
     EXIT_OK,
     MAX_IDENTITY_ORDER,
     MAX_IDENTITY_SAMPLES,
+    MAX_REGIONS,
     MAX_SIGN_HEIGHTS,
     MAX_SIGN_RESOLUTION,
+    MAX_T_VALUES,
+    MAX_TAU_VALUES,
     main,
 )
 from nrtlab.checks import MAX_TAU
 from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER
 
 ALL_COMMANDS = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
-SWEEP_COLUMNS = "N_or_t,eps,value,cond_Q,discarded_share,verdict"
+SWEEP_COLUMNS = "N_or_t,eps,value,verdict"
 
 
 def read(path):
@@ -71,17 +74,19 @@ def test_csv_headers(tmp_path):
         main([command, "--out", str(out)])
     assert (out / "indicator.csv").read_text().splitlines()[0] == "region," + SWEEP_COLUMNS
     runge_header = (out / "runge.csv").read_text().splitlines()[0]
-    assert runge_header.startswith(SWEEP_COLUMNS)
+    assert runge_header == SWEEP_COLUMNS + (
+        ",pairing,target,rel_err,pairing_bound,residual,probe_norm_G,zg_norm_G,zg_scaled_norm,log10_max_g"
+    )
     assert (out / "enclosure.csv").read_text().splitlines()[0].startswith("tau,re,im,modulus,log_over_tau")
     assert (out / "sign-map.csv").read_text().splitlines()[0] == "y3,x1,x2,value"
 
 
-def test_indicator_rows_leave_gram_columns_empty(tmp_path):
+def test_indicator_rows_carry_no_gram_columns(tmp_path):
     out = tmp_path / "out"
     assert main(["indicator", "--out", str(out)]) == EXIT_OK
     rows = list(csv.DictReader(io.StringIO((out / "indicator.csv").read_text())))
     assert len(rows) == 2 * 5
-    assert all(row["cond_Q"] == row["discarded_share"] == "" for row in rows)
+    assert all(list(row) == ["region"] + SWEEP_COLUMNS.split(",") and row["value"] for row in rows)
     assert [row["N_or_t"] for row in rows[:5]] == ["4", "8", "16", "24", "32"]
 
 
@@ -134,6 +139,9 @@ CONFIG_ERRORS = [
     ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expect": ["Bounded"]}]}),
     ("indicator", {"regions": [{"center": [False, 0], "radius": 0.5}]}),
     ("indicator", {"eps": 10**400}),
+    ("runge", {"t_values": [0.5 * 0.9**k for k in range(MAX_T_VALUES + 1)]}),
+    ("indicator", {"regions": [{"center": [0.0, 0.0], "radius": 0.5}] * (MAX_REGIONS + 1)}),
+    ("enclosure", {"tau_values": [1.0 + k for k in range(MAX_TAU_VALUES + 1)]}),
 ]
 
 
@@ -152,15 +160,88 @@ def test_indicator_config_errors_exit_2_before_any_sweep(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config", [{"t_values": [1e-300, 1e-301, 1e-302]}, {"boundary_radius": 1e10}])
+@pytest.mark.parametrize(
+    "config",
+    [{"t_values": [1e-300, 1e-301, 1e-302]}, {"boundary_radius": 1e10}, {"t_values": [1e-100, 1e-101, 1e-102]}],
+)
 def test_runge_fit_out_of_float_range_is_config_error(tmp_path, capsys, config):
+    # These configs once overflowed the fit (R^n lift, t near the float
+    # floor).  The boundary fit never forms R^n, so R = 1e10 passes; at t
+    # far below the fit's resolution the pairing is uncertified and the
+    # run fails its check with the bound in the message, with no traceback.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error: t_values[0]=") and "boundary_radius=" in err and "Traceback" not in err
-    assert not out.exists()
+    code = main(["runge", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "config error" not in captured.err
+    rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+    if "boundary_radius" in config:
+        assert code == EXIT_OK
+        assert all(float(row["rel_err"]) <= 1e-5 for row in rows)
+    else:
+        assert code == EXIT_CHECK_FAILED
+        assert f"t={config['t_values'][0]}: pairing" in captured.out and "certified bound" in captured.out
+        assert all(float(row["pairing_bound"]) >= 1.0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # At t = 1e-20 the fit cannot resolve the ball and its pairings come out negative.
+        {"t_values": [1e-20, 1e-21, 1e-22]},
+        # At R = 1e162 the gap trace's R^-2 underflows and every pairing reads 0.
+        {"boundary_radius": 1e162},
+    ],
+)
+def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
+    # The slope diagnostic then has no curve to read.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = json.loads((out / "runge.json").read_text())["summary"]
+    assert summary["verdict"] == "undefined"
+    first = summary["t_values"][0]
+    assert any(line.startswith(f"t={first}: pairing") and "not positive" in line for line in summary["failures"])
+
+
+def test_runge_json_holds_convergence_table(tmp_path):
+    out = tmp_path / "out"
+    assert main(["runge", "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "runge.json").read_text())["summary"]
+    rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+    assert [entry["t"] for entry in summary["convergence"]] == summary["t_values"]
+    for entry, row in zip(summary["convergence"], rows, strict=True):
+        assert entry["orders"] == [8, 16, 24, 32]
+        assert len(entry["rel_err"]) == len(entry["pairing_bound"]) == len(entry["residual"]) == 4
+        assert all(err <= bound for err, bound in zip(entry["rel_err"], entry["pairing_bound"]))
+        assert entry["rel_err"][-1] == float(row["rel_err"]) and entry["residual"][-1] == float(row["residual"])
+        assert entry["rel_err"][-1] < entry["rel_err"][0] and entry["residual"][-1] < entry["residual"][0]
+
+
+def test_runge_default_ts_within_1e_5_at_order_32(tmp_path):
+    out = tmp_path / "out"
+    assert main(["runge", "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+    assert [float(row["N_or_t"]) for row in rows] == cli.RunConfig().t_values
+    assert cli.RunConfig().runge_order == 32
+    assert all(float(row["rel_err"]) <= 1e-5 for row in rows)
+
+
+def test_unwritable_out_dir_is_config_error(tmp_path, monkeypatch, capsys):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("an unusable out_dir must be refused before any computation")
+
+    monkeypatch.setattr(cli, "enclosure_sweep", no_compute)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile / "x", afile):
+        assert main(["enclosure", "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out_dir") and "Traceback" not in err
 
 
 def test_load_config_checks_every_field_once():
@@ -201,6 +282,10 @@ def test_indicator_runs_at_the_order_cap(tmp_path):
         ("sign-map", {"sign_resolution": MAX_SIGN_RESOLUTION, "y3_values": [0.2]}),
         ("verify-identity", {"identity_samples": MAX_IDENTITY_SAMPLES, "identity_max_order": 1}),
         ("verify-identity", {"identity_samples": 1, "identity_max_order": MAX_IDENTITY_ORDER}),
+        ("runge", {"runge_order": MAX_RUNGE_ORDER}),
+        ("runge", {"t_values": [0.5 * 0.8**k for k in range(MAX_T_VALUES)]}),
+        ("indicator", {"regions": [{"center": [0.0, 0.0], "radius": 0.5}] * MAX_REGIONS}),
+        ("enclosure", {"tau_values": [1.0 + k for k in range(MAX_TAU_VALUES)]}),
     ],
 )
 def test_runs_at_the_caps(tmp_path, command, config):
@@ -276,6 +361,25 @@ def test_runge_geometry_violation_is_config_error(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"runge_region": {"shape": "disk", "center": [0.4, 0.0], "radius": 0.3}}))
     assert main(["runge", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # The probe's H1 norm on a region this small underflows to 0.
+        {"runge_region": {"center": [1.3, 0.0], "radius": 1e-300}},
+        {"runge_region": {"center": [1.3, 0.0], "radius": 1e-200}},
+        # R dx P(0) times eps / (2 ||E_t||) overflows.
+        {"eps": 1e300, "boundary_radius": 1e100},
+    ],
+)
+def test_runge_scaled_data_out_of_float_range_is_config_error(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["runge", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t_values[0]=0.5 with eps=") and "runge_region=" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_expect_mismatch_fails(tmp_path):

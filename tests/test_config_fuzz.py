@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nrtlab import cli
 from nrtlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, ConfigError, load_config, main
+from nrtlab.indicator import MAX_RUNGE_ORDER
 
 FIELDS = [f.name for f in dataclasses.fields(cli.RunConfig)]
 
@@ -25,6 +26,10 @@ json_values = st.recursive(
 numbers = st.floats(min_value=0.01, max_value=100.0) | edge_numbers
 increasing = st.lists(numbers, max_size=9, unique=True).map(sorted)
 decreasing = increasing.map(lambda values: values[::-1])
+# Probe distances down to 1e-300, far below what a Runge fit resolves.
+distances = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(min_value=-300, max_value=0)
+)
 disks = st.fixed_dictionaries(
     {"center": st.lists(numbers, min_size=2, max_size=2), "radius": numbers},
     optional={"expect": st.sampled_from(["Bounded", "BlowUp", "Inconclusive", "bounded", None])},
@@ -81,16 +86,28 @@ def test_load_config_returns_checked_fields_or_config_error(tmp_path, config):
 
 INDICATOR = ["boundary_radius", "eps", "strict", "regions", "orders"]
 ENCLOSURE = ["boundary_radius", "tau_values", "enclosure_phi"]
+RUNGE = ["boundary_radius", "t_values", "runge_order", "runge_region"]
+# Runge runs that get past the schema: three or four probe distances,
+# most of them far below what the fit resolves.
+runge_runs = st.fixed_dictionaries(
+    {"t_values": st.lists(distances, min_size=3, max_size=4, unique=True).map(lambda values: sorted(values, reverse=True))},
+    optional={
+        # Orders up to 40 keep each run short; the full order range is timed in test_cli.
+        "runge_order": st.integers(min_value=-1, max_value=40) | st.just(MAX_RUNGE_ORDER + 1),
+        "boundary_radius": numbers,
+    },
+)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(["indicator", "enclosure"]),
+    command=st.sampled_from(["indicator", "enclosure", "runge"]),
     indicator=configs(INDICATOR),
     enclosure=configs(ENCLOSURE),
+    runge=runge_runs | configs(RUNGE),
 )
-def test_main_exits_0_1_or_2(tmp_path, capsys, command, indicator, enclosure):
-    config = indicator if command == "indicator" else enclosure
+def test_main_exits_0_1_or_2(tmp_path, capsys, command, indicator, enclosure, runge):
+    config = {"indicator": indicator, "enclosure": enclosure, "runge": runge}[command]
     code = main([command, "--config", write(tmp_path, config), "--out", str(tmp_path / "out")])
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
     assert "Traceback" not in capsys.readouterr().err

@@ -354,6 +354,56 @@ def test_runge_fit_preconditions():
             runge_fit(0.5, region, R, order)
 
 
+def test_runge_fit_builds_no_quadrature_and_calls_no_eigh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the boundary fit must not reach this")
+
+    import nrtlab.geometry
+    import nrtlab.indicator
+
+    monkeypatch.setattr(nrtlab.geometry, "build_disk_quadrature", forbidden)
+    monkeypatch.setattr(nrtlab.indicator, "build_disk_quadrature", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    fit = runge_fit(0.5, DiskRegion((1.3, 0.0), 0.25), R, 16)
+    assert fit.n_retained == 2 * 16 + 1
+
+
+def test_runge_fit_keeps_modes_up_to_one():
+    # g carries P(0) and R grad P(0); the gap trace pairs with nothing else.
+    fit = runge_fit(0.25, DiskRegion((1.1, -0.2), 0.3), R, 32)
+    assert fit.g.max_order == 1
+    w = gap_neumann_trace(annulus_neumann_solution(R), R)
+    assert_allclose(boundary_pairing(w, fit.g, R), -2.0 * np.pi * fit.g.cos_coeff[1] / R, rtol=1e-15)
+    assert_allclose(boundary_pairing(w, fit.g, R), 8.0 * np.pi, rtol=1e-5)
+
+
+@pytest.mark.parametrize("center,rho,t", [((1.3, 0.0), 0.25, 0.5), ((1.1, -0.2), 0.3, 0.25), ((0.0, 1.2), 0.4, 0.125)])
+def test_runge_fit_probe_norm_matches_closed_form(center, rho, t):
+    # log|z - t| = log d - sum_n Re(((z - c) / s)^n) / n with s = t - c and
+    # d = |s| > rho, so its trace on the circle of G has mode amplitudes
+    # (rho / d)^n / n and ||E_t||^2 = pi rho^2 log^2 d
+    # + pi sum_n (rho / d)^(2n) / n^2 (n + rho^2 / (2 (n + 1))).
+    fit = runge_fit(t, DiskRegion(center, rho), R, 32)
+    d = math.hypot(t - center[0], center[1])
+    n = np.arange(1, 4000)
+    modes = np.sum((rho / d) ** (2 * n) / n**2 * (n + rho**2 / (2 * (n + 1))))
+    exact = np.pi * rho**2 * math.log(d) ** 2 + np.pi * modes
+    assert_allclose(fit.norm_on_G, math.sqrt(exact), rtol=1e-12)
+    assert_allclose(fit.zg_norm_on_G, fit.norm_on_G, rtol=1e-3)
+
+
+def test_runge_fit_log10_max_g_survives_huge_radius():
+    # The fit does not depend on R.  Far out, the degree-N term dominates
+    # P, so log10 max |P| on r = R grows by N per decade of R; 10^300 ^ 32
+    # is far beyond the float64 range, yet the log stays finite.
+    region = DiskRegion((1.3, 0.0), 0.25)
+    fits = [runge_fit(0.5, region, radius, 32) for radius in (2.0, 1e10, 1e20, 1e300)]
+    assert all(f.pairing_bound == fits[0].pairing_bound and f.residual == fits[0].residual for f in fits)
+    assert fits[0].log10_max_g < fits[1].log10_max_g
+    assert_allclose(fits[2].log10_max_g - fits[1].log10_max_g, 32 * 10.0, rtol=1e-9)
+    assert_allclose(fits[3].log10_max_g - fits[2].log10_max_g, 32 * 280.0, rtol=1e-9)
+
+
 def test_scaled_sequence_window():
     fit = runge_fit(0.5, DiskRegion((1.3, 0.0), 0.25), R, 32)
     g = scaled_sequence(fit, EPS)
