@@ -255,8 +255,9 @@ def enclosure_indicator(tau: float, phi: float, boundary_radius: float) -> compl
     a = tau * complex(np.cos(phi), -np.sin(phi))
     rotor = np.exp(2j * np.pi * np.arange(ENCLOSURE_NODES) / ENCLOSURE_NODES)
     z = a * eta * rotor
-    w_r = -(1.0 / eta**2 + 1.0 / R**2)
-    w = 1.0 / eta - eta / R**2
+    # 1 / R / R rather than R**2, which overflows a Python float past R ~ 1.3e154.
+    w_r = -(1.0 / eta**2 + 1.0 / R / R)
+    w = 1.0 / eta - eta / R / R
     # cos(theta) (w_r v - w v_r) with v_r = a e^{i theta} v on r = eta.  The
     # constant 1 in v integrates to zero against cos(theta); pairing w_r
     # with v - 1 keeps that zero out of the sum, which matters for tau << 1.

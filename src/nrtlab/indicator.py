@@ -382,16 +382,18 @@ def _series_log_terms(cavity: DiskRegion, boundary_radius: float, order: int) ->
     k >= 1 sums the pair Re/Im (z - c)^k, both of squared norm
     D_k = pi rho^2k (k + rho^2 / (2 (k + 1))), into |mu_k|^2 / D_k with
     mu_k = l(Re (z - c)^k) + i l(Im (z - c)^k).  With omega_n = l(Re z^n)
-    + i l(Im z^n), read off the explicit cavity's gap trace, the binomial
-    expansion gives mu_k = sum_n C(k, n) (-c)^(k - n) omega_n.  Everything
-    is kept in logs, since off the origin mu_k grows like |c|^k.  A term
-    whose pairing vanishes is -inf.
+    + i l(Im z^n), the binomial expansion gives mu_k = sum_n C(k, n)
+    (-c)^(k - n) omega_n.  omega_n = pi R^(n+1) w_n pairs z^n with the gap
+    trace w_n = -2 n s_n R^(-n-1) of the explicit cavity, whose singular
+    coefficients are s_n and log coefficient gamma; the powers of R
+    cancel, leaving omega_n = -2 pi n s_n and omega_0 = 2 pi gamma, which
+    stay finite for every R.  Everything is kept in logs, since off the
+    origin mu_k grows like |c|^k.  A term whose pairing vanishes is -inf.
     """
-    R = float(boundary_radius)
-    w = gap_neumann_trace(annulus_neumann_solution(R), R)
-    n_all = np.arange(w.max_order + 1)
-    omega = np.pi * R ** (n_all + 1.0) * (w.cos_coeff + 1j * w.sin_coeff)
-    omega[0] = 2.0 * np.pi * R * w.cos_coeff[0]
+    u = annulus_neumann_solution(boundary_radius)
+    n_all = np.arange(u.max_order + 1)
+    omega = -2.0 * np.pi * n_all * (u.singular_cos + 1j * u.singular_sin)
+    omega[0] = 2.0 * np.pi * u.log_coeff
     modes = [n for n in n_all if omega[n] != 0.0]
 
     rho = cavity.radius
@@ -596,11 +598,13 @@ def runge_fit(
     come from the boundary Fourier coefficients, and since dx (P - E_t)(0)
     is the Poisson average of (P - E_t) cos(theta) over the circle of B,
     the relative pairing error is at most (8 / pi) max |P - E_t| on that
-    circle, taken on 4m points.  Preconditions keep the singular point
-    t e1 away from both disks: it must lie strictly outside the cavity
-    closure, and the cavity must stay outside the closed ball of radius t
-    about the origin.  Requires t < R so the probe point stays inside the
-    ambient disk.
+    circle, taken on 4m points.  P's values there come from its m fitted
+    samples on that circle by one zero-padded FFT, which is exact: P is a
+    trigonometric polynomial of degree <= N < m / 2 there.  Preconditions
+    keep the singular point t e1 away from both disks: it must lie
+    strictly outside the cavity closure, and the cavity must stay outside
+    the closed ball of radius t about the origin.  Requires t < R so the
+    probe point stays inside the ambient disk.
     """
     validate_admissible(cavity, boundary_radius)
     if not (0.0 < t < boundary_radius):
@@ -643,8 +647,9 @@ def runge_fit(
     norm_on_G = math.sqrt(on_G[2])
 
     fine = ball.radius * np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
-    values, exponent = _arnoldi_real_part(H, coeff, fine)
-    pairing_bound = 8.0 / np.pi * float(np.max(np.abs(np.ldexp(values, exponent) - np.log(np.abs(fine - t)))))
+    # irfft divides by its output length 4m, not m, hence the factor 4.
+    on_fine = np.fft.irfft(np.fft.rfft(fitted[m:]), 4 * m) * 4.0
+    pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
     values, exponent = _arnoldi_real_part(H, coeff, R * circle)
     log10_max_g = exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
 

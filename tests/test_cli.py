@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nrtlab import cli
 from nrtlab.cli import (
+    ENCLOSURE_RTOL,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -314,6 +316,30 @@ def test_enclosure_tau_tie_at_rounding_level_passes(tmp_path):
     assert main(["enclosure", "--config", str(config), "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "enclosure.json").read_text())
     assert abs(payload["summary"]["fitted_limit"]) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e155, 1e300, sys.float_info.max])
+def test_enclosure_and_indicator_run_at_huge_radius(tmp_path, capsys, radius):
+    # R**2 and R**(n+1) would overflow here; neither subcommand forms them.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"enclosure_phi": 0.7}))
+    out = tmp_path / "out"
+    assert main(["enclosure", "--config", str(config), "--R", repr(radius), "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((out / "enclosure.csv").read_text())))
+    assert rows
+    for row in rows:
+        tau = float(row["tau"])
+        closed = -2.0 * np.pi * tau * np.exp(-0.7j)
+        assert abs(complex(float(row["re"]), float(row["im"])) - closed) <= ENCLOSURE_RTOL * abs(closed)
+
+    assert main(["indicator", "--out", str(tmp_path / "at2")]) == EXIT_OK
+    assert main(["indicator", "--R", repr(radius), "--out", str(tmp_path / "huge")]) == EXIT_OK
+    values = [json.loads((tmp_path / d / "indicator.json").read_text())["summary"]["regions"] for d in ("at2", "huge")]
+    assert [r["verdict"] for r in values[0]] == [r["verdict"] for r in values[1]]
+    for ref, got in zip(*values):
+        np.testing.assert_allclose(got["values"], ref["values"], rtol=1e-15, atol=0.0)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sign_map_row_count(tmp_path):

@@ -293,6 +293,40 @@ def test_indicator_sweep_exact_until_float64_overflow():
     assert np.all(np.isposinf(curve.values[~finite]))
 
 
+@pytest.mark.parametrize("radius", [1.5, 10.0, 1e10, 1e155, 1e300])
+def test_indicator_sweep_does_not_depend_on_the_ambient_radius(radius):
+    # The pairings of Re/Im z^n with the gap trace carry R^(n+1) against
+    # the trace's R^(-n-1); the sweep cancels them, so no R overflows it.
+    orders = [4, 8, 16, 24, 32]
+    for center, rho in [((0.0, 0.0), 0.5), ((1.1, -0.2), 0.3), ((0.365, 0.0), 0.546)]:
+        region = DiskRegion(center, rho)
+        with np.errstate(all="raise"):
+            curve = indicator_sweep(region, radius, EPS, orders)
+        reference = indicator_sweep(region, R, EPS, orders)
+        assert curve.verdict is reference.verdict
+        assert_allclose(curve.values, reference.values, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("radius", [1.1, 2.0, 10.0, 1e10])
+def test_series_pairings_match_the_gap_trace(radius):
+    # On a centred disk mu_k is the pairing omega_k of z^k itself, so the
+    # series' k = 1 term is |omega_1|^2 / D_1, where omega_1 pairs Re/Im z
+    # with the gap trace on r = R; the sweep's R-free pairings must match.
+    from nrtlab.indicator import _series_log_terms
+
+    rho = 0.5
+    w = gap_neumann_trace(annulus_neumann_solution(radius), radius)
+
+    def pairing(n, kind):
+        return boundary_pairing(w, BoundaryData.mode(n, kind, radius**n), radius)
+
+    omega = [pairing(0, "cos")] + [complex(pairing(n, "cos"), pairing(n, "sin")) for n in (1, 2)]
+    d_k = [np.pi * rho**2] + [np.pi * rho ** (2 * k) * (k + rho**2 / (2 * (k + 1))) for k in (1, 2)]
+    with np.errstate(divide="ignore"):
+        expected = [2.0 * np.log(abs(o)) - np.log(d) for o, d in zip(omega, d_k)]
+    assert_allclose(_series_log_terms(DiskRegion((0.0, 0.0), rho), radius, 2), expected, rtol=1e-14)
+
+
 def test_indicator_sweep_refuses_origin_on_boundary():
     with pytest.raises(OriginOnBoundaryError):
         indicator_sweep(DiskRegion((0.5, 0.0), 0.5), R, EPS, [4, 8])
@@ -366,6 +400,71 @@ def test_runge_fit_builds_no_quadrature_and_calls_no_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     fit = runge_fit(0.5, DiskRegion((1.3, 0.0), 0.25), R, 16)
     assert fit.n_retained == 2 * 16 + 1
+
+
+def test_runge_fit_runs_one_recurrence_off_the_fit_points(monkeypatch):
+    # Only log10_max_g evaluates P away from the 2m fit points; the bound's
+    # samples on the circle of B come from the fitted values themselves.
+    import nrtlab.indicator
+
+    calls = []
+    original = nrtlab.indicator._arnoldi_real_part
+
+    def counting(*args):
+        calls.append(args[2].size)
+        return original(*args)
+
+    monkeypatch.setattr(nrtlab.indicator, "_arnoldi_real_part", counting)
+    for order in (8, 32, 64):
+        runge_fit(0.25, DiskRegion((1.1, -0.2), 0.3), R, order)
+    assert calls == [4 * order + 16 for order in (8, 32, 64)]
+
+
+# Criterion 10's disks, and the seeded disks of the benchmark's probe route
+# at seed 1 with the order each gets there.
+BOUND_DISKS = [((1.3, 0.0), 0.25, order) for order in range(8, 97, 8)] + [
+    ((1.1, -0.2), 0.3, order) for order in range(8, 97, 8)
+]
+PROBE_ROUTE_DISKS = [
+    ((1.0544105135721669, -0.260075219456525), 0.1082432929124773, 16),
+    ((-0.5031129204746526, 0.928183374782859), 0.332010218949651, 16),
+    ((-1.2434005541134632, -0.575350347689965), 0.1447107175857101, 16),
+    ((-0.2275616447121662, -0.9469748966211226), 0.18633744723701628, 32),
+    ((0.017722949276130856, -1.228123348578736), 0.36212977436079097, 32),
+    ((0.6231821056935333, 1.296311713482469), 0.3187591168157513, 32),
+    ((0.8029458798471956, 1.3110029541765627), 0.23507782466117827, 48),
+    ((0.6470215375615206, -0.49458881987577646), 0.20335104243117913, 48),
+    ((1.1470861424083985, 0.3149835387045002), 0.28155783351104624, 48),
+    ((-0.6490734954152036, 0.7914631406350664), 0.39951842999503107, 64),
+    ((-1.559798252367089, 0.4858292234646851), 0.25508638101690373, 64),
+    ((-1.0884135738185896, -0.9895461712557766), 0.15757987073229116, 64),
+]
+
+
+def test_runge_fit_bound_samples_match_the_recurrence():
+    # P is a trigonometric polynomial of degree <= N < m / 2 on the circle
+    # of B, so zero-padding the FFT of its m fitted samples to 4m points
+    # must give what the Arnoldi recurrence gives at those points.
+    from nrtlab.indicator import _arnoldi, _arnoldi_real_part
+
+    worst = 0.0
+    for center, rho, order in BOUND_DISKS + PROBE_ROUTE_DISKS:
+        for t in (0.5, 0.25, 0.125):
+            fit = runge_fit(t, DiskRegion(center, rho), R, order)
+            m = 4 * order + 16
+            circle = np.exp(2j * np.pi * np.arange(m) / m)
+            z = np.concatenate([complex(*center) + rho * circle, 0.5 * t * circle])
+            Q, H = _arnoldi(z, order)
+            A = np.concatenate([Q.real, -Q[1:].imag]).T
+            x = np.linalg.lstsq(A, np.log(np.abs(z - t)), rcond=None)[0]
+            coeff = x[: order + 1] + 1j * np.concatenate([[0.0], x[order + 1 :]])
+            padded = np.fft.irfft(np.fft.rfft((A @ x)[m:]), 4 * m) * 4.0
+            fine = 0.5 * t * np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
+            values, exponent = _arnoldi_real_part(H, coeff, fine)
+            worst = max(worst, float(np.max(np.abs(padded - np.ldexp(values, exponent)))))
+            bound = 8.0 / np.pi * float(np.max(np.abs(padded - np.log(np.abs(fine - t)))))
+            assert fit.pairing_bound == bound
+    assert worst <= 1e-10
 
 
 def test_runge_fit_keeps_modes_up_to_one():
