@@ -16,28 +16,22 @@ from .checks import (
     enclosure_indicator,
     enclosure_sweep,
     gradient_identity,
-    gradient_identity_residual,
     probe_kernel,
     sign_indefiniteness_certificate,
     sign_map,
 )
 from .geometry import (
-    CircleContour,
     DiskRegion,
     OriginLocation,
     QuadratureRule,
-    build_contour_quadrature,
     build_disk_quadrature,
     validate_admissible,
 )
 from .harmonic import (
     BoundaryData,
     HarmonicSeries,
-    LogSource,
     annulus_neumann_solution,
     boundary_pairing,
-    contour_green_pairing,
-    contour_pairing_pieces,
     dirichlet_disk_solve,
     gap_neumann_trace,
     random_boundary_data,
@@ -52,7 +46,6 @@ from .indicator import (
     Verdict,
     assemble_gram,
     blow_up_diagnostic,
-    h1_inner,
     indicator_sweep,
     log_slope,
     runge_fit,
@@ -64,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryData",
-    "CircleContour",
     "DiskRegion",
     "EnclosureSample",
     "EnclosureSweep",
@@ -72,7 +64,6 @@ __all__ = [
     "GramSystem",
     "HarmonicSeries",
     "IndicatorCurve",
-    "LogSource",
     "OriginLocation",
     "OriginOnBoundaryError",
     "QuadratureRule",
@@ -84,18 +75,13 @@ __all__ = [
     "assemble_gram",
     "blow_up_diagnostic",
     "boundary_pairing",
-    "build_contour_quadrature",
     "build_disk_quadrature",
-    "contour_green_pairing",
-    "contour_pairing_pieces",
     "dirichlet_disk_solve",
     "enclosure_closed_form",
     "enclosure_indicator",
     "enclosure_sweep",
     "gap_neumann_trace",
     "gradient_identity",
-    "gradient_identity_residual",
-    "h1_inner",
     "indicator_sweep",
     "log_slope",
     "probe_kernel",

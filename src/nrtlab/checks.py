@@ -53,9 +53,9 @@ def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: Bound
     Returns (pairing, gradient_form) where pairing integrates the
     Neumann gap trace against g over r = R and gradient_form is
     -2 pi dx z_g(0) for the harmonic lift z_g.  The two agree mode by
-    mode, so their difference is a pure roundoff residual.  A custom
-    w_trace replaces the default explicit-solution trace, which is how
-    deliberate perturbations are injected in self-tests.
+    mode, so their difference is a pure roundoff residual.  w_trace is
+    the explicit cavity's gap trace at this R; a caller that pairs many
+    data passes it in once instead of having it rebuilt per datum.
     """
     if w_trace is None:
         w_trace = gap_neumann_trace(annulus_neumann_solution(boundary_radius), boundary_radius)
@@ -63,12 +63,6 @@ def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: Bound
     lift = dirichlet_disk_solve(data, boundary_radius)
     grad0 = lift.grad((0.0, 0.0))
     return pairing, -2.0 * np.pi * float(grad0[0])
-
-
-def gradient_identity_residual(data: BoundaryData, boundary_radius: float) -> float:
-    """Absolute difference of the two pairing-identity sides."""
-    pairing, gradient_form = gradient_identity(data, boundary_radius)
-    return abs(pairing - gradient_form)
 
 
 def probe_kernel(x1, x2, y3: float):

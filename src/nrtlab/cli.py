@@ -116,7 +116,6 @@ class RunConfig:
     sign_patch_radius: float = 1.0
     identity_samples: int = 50
     identity_max_order: int = 32
-    pairing_perturbation: float = 1.0
 
     def echo(self) -> dict:
         # out_dir is an output location, not experiment configuration;
@@ -263,7 +262,6 @@ SCHEMA = {
     "sign_patch_radius": partial(_number, above=0.0),
     "identity_samples": partial(_integer, lo=1, hi=MAX_IDENTITY_SAMPLES),
     "identity_max_order": partial(_integer, lo=1, hi=MAX_IDENTITY_ORDER),
-    "pairing_perturbation": _number,
 }
 
 
@@ -344,8 +342,6 @@ def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     """Check the pairing identity on fixed modes plus random boundary data."""
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
-    if cfg.pairing_perturbation != 1.0:
-        w = w.scaled(cfg.pairing_perturbation)
     rng = np.random.default_rng(cfg.seed)
 
     cases: list[tuple[str, BoundaryData]] = [("const", BoundaryData.mode(0, "cos"))]
@@ -439,15 +435,14 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         (label, curve.grid, np.maximum(curve.values, 1e-18))
         for label, curve in curves
     ]
-    if series:
-        svgplot.line_chart(
-            out_dir / "indicator.svg",
-            series,
-            title=f"Constrained sup vs cutoff order (eps={cfg.eps:g})",
-            xlabel="cutoff order N",
-            ylabel="sup value",
-            logy=True,
-        )
+    svgplot.line_chart(
+        out_dir / "indicator.svg",
+        series,
+        title=f"Constrained sup vs cutoff order (eps={cfg.eps:g})",
+        xlabel="cutoff order N",
+        ylabel="sup value",
+        logy=True,
+    )
     return (EXIT_OK if passed else EXIT_CHECK_FAILED), summary
 
 
@@ -730,8 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", type=float, default=None, dest="boundary_radius", help="ambient disk radius (> 1)")
         p.add_argument("--eps", type=float, default=None, help="constraint radius for the lifted data")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized cases")
-        if name == "verify-identity":
-            p.add_argument("--perturb-pairing", type=float, default=None, dest="pairing_perturbation", help=argparse.SUPPRESS)
     return parser
 
 
@@ -743,7 +736,6 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "out_dir": str(args.out) if args.out is not None else None,
         "strict": True if args.strict else None,
-        "pairing_perturbation": getattr(args, "pairing_perturbation", None),
     }
     try:
         cfg = load_config(args.config, overrides)

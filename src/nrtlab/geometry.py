@@ -1,18 +1,15 @@
-"""Planar regions, contours and quadrature rules.
+"""Planar regions and the tensor quadrature rule on a disk.
 
 All experiments run on subsets of a disk of radius R centered at the
-origin.  Cavities and probing balls are disks, and Green-type pairings
-are evaluated on circles.
-Quadrature rules pair a node/weight table with the region they were
-built for, so downstream code can reject integrands that are singular
-inside the integration domain.
+origin.  Cavities and probing balls are disks.  The disk quadrature
+serves the Gram reference of the indicator module.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +55,6 @@ class DiskRegion:
         object.__setattr__(self, "center", (cx, cy))
         object.__setattr__(self, "radius", float(self.radius))
 
-    def contains(self, points, tol: float = 0.0):
-        """Membership in the closed disk, with an optional additive margin."""
-        pts, single = as_points(points)
-        d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        inside = d <= self.radius + tol
-        return bool(inside[0]) if single else inside
-
     def classify_origin(self, tol: float = BOUNDARY_RTOL) -> OriginLocation:
         """Classify the origin as inside, outside or on the boundary circle.
 
@@ -80,9 +70,6 @@ class DiskRegion:
             return OriginLocation.OUTSIDE
         return OriginLocation.BOUNDARY
 
-    def to_dict(self) -> dict:
-        return {"shape": "disk", "center": [self.center[0], self.center[1]], "radius": self.radius}
-
     @classmethod
     def from_dict(cls, data: dict) -> "DiskRegion":
         if data.get("shape", "disk") != "disk":
@@ -92,43 +79,11 @@ class DiskRegion:
 
 
 @dataclass(frozen=True)
-class CircleContour:
-    """Oriented circle used for line integrals; normal points outward."""
-
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise ValueError(f"contour radius must be positive, got {self.radius}")
-        cx, cy = float(self.center[0]), float(self.center[1])
-        object.__setattr__(self, "center", (cx, cy))
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def length(self) -> float:
-        return 2.0 * np.pi * self.radius
-
-    def on_contour(self, points, rtol: float = 1e-12):
-        """True where a point lies on the circle up to a relative band."""
-        pts, single = as_points(points)
-        d = np.hypot(pts[:, 0] - self.center[0], pts[:, 1] - self.center[1])
-        hit = np.abs(d - self.radius) <= rtol * max(1.0, self.radius)
-        return bool(hit[0]) if single else hit
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes, weights and the region the rule integrates over.
-
-    kind is "area" for two-dimensional rules (weights carry the area
-    element) and "contour" for line rules (weights carry arclength).
-    """
+    """Read-only quadrature nodes, shape (n, 2), and their n weights."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-    region: object = field(default=None)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -137,8 +92,6 @@ class QuadratureRule:
             raise ValueError(f"nodes must be (n, 2), got {nodes.shape}")
         if weights.shape != (nodes.shape[0],):
             raise ValueError(f"weights shape {weights.shape} does not match {nodes.shape[0]} nodes")
-        if self.kind not in ("area", "contour"):
-            raise ValueError(f"kind must be 'area' or 'contour', got {self.kind!r}")
         nodes.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
@@ -147,13 +100,6 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values sampled at the nodes."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
-            raise ValueError(f"values shape {values.shape} does not match rule size {self.size}")
-        return float(self.weights @ values)
 
 
 @functools.lru_cache(maxsize=32)
@@ -192,22 +138,7 @@ def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: 
         ]
     )
     weights = np.outer(wr, wt).ravel()
-    return QuadratureRule(nodes=nodes, weights=weights, kind="area", region=region)
-
-
-def build_contour_quadrature(contour: CircleContour, order: int) -> QuadratureRule:
-    """Trapezoid rule on a circle, exact for trigonometric degree <= order - 1."""
-    if order < 1:
-        raise ValueError("contour order must be >= 1")
-    theta = 2.0 * np.pi * np.arange(order) / order
-    nodes = np.column_stack(
-        [
-            contour.center[0] + contour.radius * np.cos(theta),
-            contour.center[1] + contour.radius * np.sin(theta),
-        ]
-    )
-    weights = np.full(order, contour.length / order)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="contour", region=contour)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def validate_admissible(cavity: DiskRegion, boundary_radius: float, tol: float = BOUNDARY_RTOL) -> None:

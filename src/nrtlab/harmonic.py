@@ -9,17 +9,17 @@ its expansion
 
 equivalently f = Re(F(z)) + gamma * log|z| with
 F(z) = a_0 + sum_n (a_n - i b_n) z^n + sum_n (c_n + i d_n) z^-n.
-Evaluation and gradients go through the complex form, which keeps the
-cos/sin bookkeeping in one place and avoids pow() edge cases at the
-origin.  Functions with singular terms (negative powers or the log)
-refuse evaluation at the origin.
+Gradients go through the complex form, which keeps the cos/sin
+bookkeeping in one place and avoids pow() edge cases at the origin.
+Functions with singular terms (negative powers or the log) refuse
+evaluation at the origin.
 
 The module also provides the closed-form annulus problem the package
 is built around: the Laplace solution with zero Neumann data on the
 inner circle r = 1 and prescribed Dirichlet values on r = R, its
 harmonic extension to the punctured disk, the full-disk comparison
-solution sharing the Dirichlet trace, and the two boundary pairings
-(Fourier form on r = R and Green form on an interior contour).
+solution sharing the Dirichlet trace, and the boundary pairing in
+Fourier form on r = R.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CircleContour, QuadratureRule, as_points, build_contour_quadrature
+from .geometry import as_points
 
 
 def _coeff_array(values, name: str) -> np.ndarray:
@@ -86,27 +86,8 @@ class BoundaryData:
             sin_coeff[order] = amplitude
         return cls(cos_coeff, sin_coeff)
 
-    def eval(self, theta):
-        """Evaluate g at angles theta (scalar or array)."""
-        theta = np.asarray(theta, dtype=float)
-        n = np.arange(self.cos_coeff.size)
-        angles = np.multiply.outer(theta, n)
-        out = np.cos(angles) @ self.cos_coeff + np.sin(angles) @ self.sin_coeff
-        return float(out) if out.ndim == 0 else out
-
     def scaled(self, factor: float) -> "BoundaryData":
         return BoundaryData(self.cos_coeff * factor, self.sin_coeff * factor)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "cos_coeff": self.cos_coeff.tolist(),
-            "sin_coeff": self.sin_coeff.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundaryData":
-        return cls(np.asarray(data["cos_coeff"], dtype=float), np.asarray(data["sin_coeff"], dtype=float))
 
 
 def random_boundary_data(order: int, rng: np.random.Generator, scale: float = 1.0) -> BoundaryData:
@@ -125,8 +106,8 @@ class HarmonicSeries:
     r^n terms (regular_cos[0] is the constant, regular_sin[0] is unused
     and forced to zero), singular_* hold the r^-n terms with the n = 0
     slots unused, and log_coeff multiplies log r.  Singular terms and
-    the log make the function undefined at the origin; evaluation there
-    raises instead of returning garbage.
+    the log make the function undefined at the origin; its gradient
+    there raises instead of returning garbage.
     """
 
     regular_cos: np.ndarray
@@ -166,34 +147,12 @@ class HarmonicSeries:
     def has_singular_part(self) -> bool:
         return bool(np.any(self.singular_cos) or np.any(self.singular_sin) or self.log_coeff != 0.0)
 
-    def singular_points(self) -> tuple[tuple[float, float], ...]:
-        """Points where the function is undefined (the origin, if any)."""
-        return ((0.0, 0.0),) if self.has_singular_part else ()
-
     def _complex_input(self, points) -> tuple[np.ndarray, bool]:
         pts, single = as_points(points)
         z = pts[:, 0] + 1j * pts[:, 1]
         if self.has_singular_part and np.any(z == 0.0):
             raise ValueError("series with singular terms cannot be evaluated at the origin")
         return z, single
-
-    def eval(self, points):
-        """Evaluate at a point or an (n, 2) array of points."""
-        z, single = self._complex_input(points)
-        out = np.full(z.shape, self.regular_cos[0])
-        if self.log_coeff != 0.0:
-            out = out + self.log_coeff * np.log(np.abs(z))
-        power = np.ones_like(z)
-        for n in range(1, self.max_order + 1):
-            power = power * z
-            out = out + self.regular_cos[n] * power.real + self.regular_sin[n] * power.imag
-        if np.any(self.singular_cos) or np.any(self.singular_sin):
-            inv = 1.0 / z
-            power = np.ones_like(z)
-            for n in range(1, self.max_order + 1):
-                power = power * inv
-                out = out + self.singular_cos[n] * power.real - self.singular_sin[n] * power.imag
-        return float(out[0]) if single else out
 
     def grad(self, points):
         """Gradient; returns (2,) for a single point, (n, 2) otherwise.
@@ -216,73 +175,6 @@ class HarmonicSeries:
                 dF = dF - n * (self.singular_cos[n] + 1j * self.singular_sin[n]) * power
                 power = power * inv
         out = np.column_stack([dF.real, -dF.imag])
-        return out[0] if single else out
-
-    def trace(self, radius: float) -> BoundaryData:
-        """Dirichlet trace on the circle of given radius about the origin."""
-        if radius <= 0.0:
-            raise ValueError(f"trace radius must be positive, got {radius}")
-        n = np.arange(self.max_order + 1)
-        up = radius**n
-        down = radius ** (-n.astype(float))
-        cos_coeff = self.regular_cos * up + self.singular_cos * down
-        sin_coeff = self.regular_sin * up + self.singular_sin * down
-        cos_coeff[0] += self.log_coeff * np.log(radius)
-        return BoundaryData(cos_coeff, sin_coeff)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "regular_cos": self.regular_cos.tolist(),
-            "regular_sin": self.regular_sin.tolist(),
-            "singular_cos": self.singular_cos.tolist(),
-            "singular_sin": self.singular_sin.tolist(),
-            "log_coeff": self.log_coeff,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HarmonicSeries":
-        return cls(
-            regular_cos=np.asarray(data["regular_cos"], dtype=float),
-            regular_sin=np.asarray(data["regular_sin"], dtype=float),
-            singular_cos=np.asarray(data["singular_cos"], dtype=float),
-            singular_sin=np.asarray(data["singular_sin"], dtype=float),
-            log_coeff=float(data.get("log_coeff", 0.0)),
-        )
-
-
-@dataclass(frozen=True)
-class LogSource:
-    """Logarithmic point source x -> log|x - p|, harmonic away from p."""
-
-    point: tuple[float, float]
-
-    def __post_init__(self):
-        px, py = float(self.point[0]), float(self.point[1])
-        if not (np.isfinite(px) and np.isfinite(py)):
-            raise ValueError(f"source point must be finite, got {self.point}")
-        object.__setattr__(self, "point", (px, py))
-
-    def singular_points(self) -> tuple[tuple[float, float], ...]:
-        return (self.point,)
-
-    def _offsets(self, points):
-        pts, single = as_points(points)
-        dx = pts[:, 0] - self.point[0]
-        dy = pts[:, 1] - self.point[1]
-        if np.any((dx == 0.0) & (dy == 0.0)):
-            raise ValueError(f"log source cannot be evaluated at its singular point {self.point}")
-        return dx, dy, single
-
-    def eval(self, points):
-        dx, dy, single = self._offsets(points)
-        out = 0.5 * np.log(dx * dx + dy * dy)
-        return float(out[0]) if single else out
-
-    def grad(self, points):
-        dx, dy, single = self._offsets(points)
-        rr = dx * dx + dy * dy
-        out = np.column_stack([dx / rr, dy / rr])
         return out[0] if single else out
 
 
@@ -364,45 +256,3 @@ def boundary_pairing(w_trace: BoundaryData, data: BoundaryData, boundary_radius:
             + w_trace.sin_coeff[1 : order + 1] @ data.sin_coeff[1 : order + 1]
         )
     return float(total)
-
-
-def _reject_singular_on_contour(f, contour: CircleContour) -> None:
-    singular = getattr(f, "singular_points", None)
-    if singular is None:
-        return
-    for point in singular():
-        if contour.on_contour(point):
-            raise ValueError(f"integrand is singular at {point} on the contour {contour}")
-
-
-def contour_pairing_pieces(f, z, contour: CircleContour, quad: QuadratureRule | None = None) -> tuple[float, float]:
-    """The two halves of the Green pairing on a circle.
-
-    Returns (flux_term, value_term) with
-
-        flux_term  = integral (df/dnu) z  ds
-        value_term = integral f (dz/dnu) ds
-
-    over the contour, normals pointing away from the contour center.
-    Both integrands must expose eval/grad; anything with a declared
-    singular point on the contour is rejected.
-    """
-    _reject_singular_on_contour(f, contour)
-    _reject_singular_on_contour(z, contour)
-    if quad is None:
-        quad = build_contour_quadrature(contour, order=256)
-    elif quad.kind != "contour":
-        raise ValueError("contour pairing requires a contour quadrature rule")
-    pts = quad.nodes
-    normal = (pts - np.asarray(contour.center)) / contour.radius
-    fn_flux = np.einsum("ij,ij->i", np.asarray(f.grad(pts)), normal)
-    zn_flux = np.einsum("ij,ij->i", np.asarray(z.grad(pts)), normal)
-    flux_term = quad.integrate(fn_flux * np.asarray(z.eval(pts)))
-    value_term = quad.integrate(np.asarray(f.eval(pts)) * zn_flux)
-    return flux_term, value_term
-
-
-def contour_green_pairing(f, z, contour: CircleContour, quad: QuadratureRule | None = None) -> float:
-    """Green pairing integral (df/dnu) z - f (dz/dnu) over a circle."""
-    flux_term, value_term = contour_pairing_pieces(f, z, contour, quad)
-    return flux_term - value_term

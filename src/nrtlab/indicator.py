@@ -38,7 +38,6 @@ import numpy as np
 from .geometry import (
     DiskRegion,
     OriginLocation,
-    QuadratureRule,
     build_disk_quadrature,
     validate_admissible,
 )
@@ -86,32 +85,6 @@ class OriginOnBoundaryError(ValueError):
 
 class GramConditioningError(RuntimeError):
     """Raised when a Gram matrix fails the positive-semidefinite check."""
-
-
-def h1_inner(f, g, rule: QuadratureRule) -> float:
-    """H1 inner product integral (f g + grad f . grad g) over an area rule.
-
-    Both arguments must expose eval/grad.  Integrands with a declared
-    singular point inside the rule's region are rejected, since the
-    quadrature result would be meaningless there.
-    """
-    if rule.kind != "area":
-        raise ValueError("H1 inner product requires an area quadrature rule")
-    for fn in (f, g):
-        singular = getattr(fn, "singular_points", None)
-        if singular is None or rule.region is None:
-            continue
-        for point in singular():
-            if rule.region.contains(point):
-                raise ValueError(
-                    f"integrand is singular at {point} inside the integration region {rule.region}"
-                )
-    fv = np.asarray(f.eval(rule.nodes))
-    gv = np.asarray(g.eval(rule.nodes))
-    fg = np.asarray(f.grad(rule.nodes))
-    gg = np.asarray(g.grad(rule.nodes))
-    dens = fv * gv + np.einsum("ij,ij->i", fg, gg)
-    return rule.integrate(dens)
 
 
 def _mode_numbers(order: int) -> np.ndarray:

@@ -144,7 +144,10 @@ CONFIG_ERRORS = [
     ("runge", {"t_values": [0.5 * 0.9**k for k in range(MAX_T_VALUES + 1)]}),
     ("indicator", {"regions": [{"center": [0.0, 0.0], "radius": 0.5}] * (MAX_REGIONS + 1)}),
     ("enclosure", {"tau_values": [1.0 + k for k in range(MAX_TAU_VALUES + 1)]}),
+    # No longer a config field: an unknown key.
+    ("verify-identity", {"pairing_perturbation": 1.01}),
 ]
+FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
 @pytest.mark.parametrize("command,config", CONFIG_ERRORS, ids=[f"config{i}" for i in range(len(CONFIG_ERRORS))])
@@ -158,7 +161,9 @@ def test_indicator_config_errors_exit_2_before_any_sweep(tmp_path, monkeypatch, 
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {next(iter(config))}") and "Traceback" not in err
+    key = next(iter(config))
+    expected = f"config error: {key}" if key in FIELDS else f"config error: unknown config keys [{key!r}]"
+    assert err.startswith(expected) and "Traceback" not in err
     assert not out.exists()
 
 
@@ -351,9 +356,12 @@ def test_sign_map_row_count(tmp_path):
     assert len(lines) == 1 + 2 * 41 * 41
 
 
-def test_perturbed_pairing_fails(tmp_path):
+def test_perturbed_pairing_fails(tmp_path, monkeypatch):
+    # A gap trace off by 1% must fail the identity check.
+    gap_neumann_trace = cli.gap_neumann_trace
+    monkeypatch.setattr(cli, "gap_neumann_trace", lambda u, R: gap_neumann_trace(u, R).scaled(1.01))
     out = tmp_path / "out"
-    code = main(["verify-identity", "--perturb-pairing", "1.01", "--out", str(out)])
+    code = main(["verify-identity", "--out", str(out)])
     assert code == EXIT_CHECK_FAILED
     payload = json.loads((out / "verify-identity.json").read_text())
     assert payload["summary"]["passed"] is False
@@ -436,6 +444,18 @@ def test_origin_on_boundary_region_is_refused(tmp_path):
     body = (out / "indicator.csv").read_text()
     assert "refused" in body
     assert main(["indicator", "--config", str(config), "--strict", "--out", str(out)]) == EXIT_CHECK_FAILED
+
+
+def test_all_regions_refused_still_writes_the_chart(tmp_path):
+    # The chart is empty axes then, written over whatever an earlier run left.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"regions": [{"center": [0.5, 0.0], "radius": 0.5}]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "indicator.svg").write_text("stale")
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["indicator.csv", "indicator.json", "indicator.svg"]
+    assert (out / "indicator.svg").read_text().startswith("<svg")
 
 
 def test_flag_overrides_reach_config_echo(tmp_path):

@@ -53,7 +53,6 @@ NEAR_VALID = {
     "sign_patch_radius": numbers,
     "identity_samples": st.integers(min_value=-2, max_value=1010),
     "identity_max_order": st.integers(min_value=-2, max_value=1030),
-    "pairing_perturbation": numbers,
 }
 
 
