@@ -1,11 +1,12 @@
 """Command line front end for the five laboratory experiments.
 
-Each subcommand reads an optional JSON config, runs one experiment and
-writes <out>/<experiment>.csv, .json and .svg.  Outputs are functions
-of the config alone (timing goes to stdout only), so reruns with the
-same config produce byte-identical files.  Exit code 0 means all
-checks passed, 1 means a numerical check or verdict failed, 2 means
-the configuration was unusable.
+Each subcommand reads an optional JSON config and runs one experiment.
+Its runner only computes; main alone decides pass or fail and writes
+<out>/<experiment>.csv, .json and .svg.  Outputs are functions of the
+config alone (timing goes to stdout only), so reruns with the same
+config produce byte-identical files.  Exit code 0 means all checks
+passed, 1 means a check or verdict failed (or, under --strict, a soft
+flag was raised), 2 means the configuration was unusable.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .checks import (
     sign_map,
     validate_taus,
 )
-from .geometry import DiskRegion
+from .geometry import DiskRegion, validate_admissible
 from .harmonic import (
     annulus_neumann_solution,
     boundary_pairing,
@@ -266,12 +267,12 @@ SCHEMA = {
 
 
 def _parse_region(entry: dict, boundary_radius: float, label: str) -> tuple[DiskRegion, str | None]:
-    region = DiskRegion.from_dict(entry)
-    if np.hypot(*region.center) + region.radius >= boundary_radius:
-        raise ConfigError(
-            f"{label} disk(center={region.center}, radius={region.radius}) does not fit strictly "
-            f"inside the ambient disk of radius {boundary_radius}"
-        )
+    """The schema-checked region as a DiskRegion that the library accepts, with its expected verdict."""
+    region = DiskRegion(center=tuple(entry["center"]), radius=entry["radius"])
+    try:
+        validate_admissible(region, boundary_radius)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
     return region, entry.get("expect")
 
 
@@ -284,16 +285,10 @@ def _jsonify(value):
         if np.isinf(value):
             return "inf" if value > 0 else "-inf"
         return value
-    if isinstance(value, complex):
-        return {"re": _jsonify(value.real), "im": _jsonify(value.imag)}
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, Verdict):
-        return value.value
     return value
 
 
@@ -338,7 +333,7 @@ def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: 
         fh.write("\n")
 
 
-def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def run_verify_identity(cfg: RunConfig) -> tuple:
     """Check the pairing identity on fixed modes plus random boundary data."""
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
@@ -354,35 +349,31 @@ def run_verify_identity(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
 
     pairings, gradient_forms = zip(*(gradient_identity(g, R, w_trace=w) for _, g in cases))
     residuals = [abs(p - q) for p, q in zip(pairings, gradient_forms)]
-    max_residual = max(residuals)
-    passed = max_residual <= IDENTITY_TOL
-    summary = {
-        "n_cases": len(cases),
-        "max_residual": max_residual,
-        "tolerance": IDENTITY_TOL,
-        "passed": passed,
-    }
+    labels = [label for label, _ in cases]
+    max_residual, worst = max(zip(residuals, labels))
+    failures = []
+    if not max_residual <= IDENTITY_TOL:
+        failures.append(f"case {worst}: residual {max_residual:.2e} exceeds {IDENTITY_TOL:g}")
+    summary = {"n_cases": len(cases), "max_residual": max_residual, "tolerance": IDENTITY_TOL}
     table = {
-        "case": [label for label, _ in cases],
+        "case": labels,
         "order": [g.max_order for _, g in cases],
         "pairing": pairings,
         "gradient_form": gradient_forms,
         "residual": residuals,
     }
-    write_outputs(out_dir, "verify-identity", table, summary, cfg)
-    floor = 1e-18
-    svgplot.line_chart(
-        out_dir / "verify-identity.svg",
-        [("residual", np.arange(len(cases)), np.maximum(residuals, floor))],
+    chart = partial(
+        svgplot.line_chart,
+        series=[("residual", np.arange(len(cases)), np.maximum(residuals, 1e-18))],
         title="Pairing identity residual per case",
         xlabel="case index",
         ylabel="|pairing + 2 pi dx z_g(0)|",
         logy=True,
     )
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), summary
+    return table, summary, failures, [], chart
 
 
-def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def run_indicator(cfg: RunConfig) -> tuple:
     """Sweep the constrained sup over cutoff orders for each test region."""
     parsed = [_parse_region(entry, cfg.boundary_radius, f"regions[{i}]") for i, entry in enumerate(cfg.regions)]
 
@@ -420,33 +411,19 @@ def run_indicator(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         elif curve.verdict is Verdict.INCONCLUSIVE:
             soft_flags.append(f"region {idx} inconclusive")
 
-    passed = not failures and not (cfg.strict and soft_flags)
-    summary = {
-        "eps": cfg.eps,
-        "orders": cfg.orders,
-        "regions": region_summaries,
-        "failures": failures,
-        "soft_flags": soft_flags,
-        "strict": cfg.strict,
-        "passed": passed,
-    }
-    write_outputs(out_dir, "indicator", table, summary, cfg)
-    series = [
-        (label, curve.grid, np.maximum(curve.values, 1e-18))
-        for label, curve in curves
-    ]
-    svgplot.line_chart(
-        out_dir / "indicator.svg",
-        series,
+    summary = {"eps": cfg.eps, "orders": cfg.orders, "regions": region_summaries}
+    chart = partial(
+        svgplot.line_chart,
+        series=[(label, curve.grid, np.maximum(curve.values, 1e-18)) for label, curve in curves],
         title=f"Constrained sup vs cutoff order (eps={cfg.eps:g})",
         xlabel="cutoff order N",
         ylabel="sup value",
         logy=True,
     )
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), summary
+    return table, summary, failures, soft_flags, chart
 
 
-def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def run_runge(cfg: RunConfig) -> tuple:
     """Drive the blow-up route with shifted log potentials as t -> 0."""
     ts = cfg.t_values
     region, _ = _parse_region(cfg.runge_region, cfg.boundary_radius, "runge_region")
@@ -522,7 +499,6 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     # Past R ~ 1e154 the gap trace's R^-2 underflows and a pairing can be 0.
     ratios = [b / a if a != 0.0 else math.nan for a, b in zip(scaled_values, scaled_values[1:])]
 
-    passed = not failures and not (cfg.strict and soft_flags)
     summary = {
         "eps": cfg.eps,
         "order": cfg.runge_order,
@@ -533,10 +509,6 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "scaled_growth_ratios": ratios,
         "convergence": convergence,
         "verdict": verdict,
-        "failures": failures,
-        "soft_flags": soft_flags,
-        "strict": cfg.strict,
-        "passed": passed,
     }
     targets = [2.0 * np.pi / t for t in ts]
     table = {
@@ -554,10 +526,9 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "zg_scaled_norm": zg_scaled_norms,
         "log10_max_g": [fit.log10_max_g for fit in fits],
     }
-    write_outputs(out_dir, "runge", table, summary, cfg)
-    svgplot.line_chart(
-        out_dir / "runge.svg",
-        [
+    chart = partial(
+        svgplot.line_chart,
+        series=[
             ("pairing l(g_t)", ts, pairings),
             ("2 pi / t", ts, targets),
             ("scaled value", ts, scaled_values),
@@ -568,10 +539,10 @@ def run_runge(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         logx=True,
         logy=True,
     )
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), summary
+    return table, summary, failures, soft_flags, chart
 
 
-def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def run_sign_map(cfg: RunConfig) -> tuple:
     """Map the restricted kernel sign structure over decreasing heights."""
     heights = cfg.y3_values
     half_width = cfg.sign_half_width
@@ -617,7 +588,6 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     if not certificate:
         failures.append("sign indefiniteness certificate failed on the fixed patch")
 
-    passed = not failures
     summary = {
         "y3_values": heights,
         "half_width": half_width,
@@ -625,8 +595,6 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "patch_radius": cfg.sign_patch_radius,
         "per_height": per_height,
         "certificate": certificate,
-        "failures": failures,
-        "passed": passed,
     }
     # Rows run over heights, then x1, then x2: values[i, j] in C order.
     axis = fields_out[0].axis
@@ -637,16 +605,15 @@ def run_sign_map(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "x2": np.tile(axis, resolution * len(heights)),
         "value": np.concatenate([f.values.ravel() for f in fields_out]),
     }
-    write_outputs(out_dir, "sign-map", table, summary, cfg)
-    svgplot.sign_panels(
-        out_dir / "sign-map.svg",
-        fields_out,
+    chart = partial(
+        svgplot.sign_panels,
+        fields=fields_out,
         title="Restricted kernel sign (blue < 0 < red), dashed: sqrt(2) y3",
     )
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), summary
+    return table, summary, failures, [], chart
 
 
-def run_enclosure(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
+def run_enclosure(cfg: RunConfig) -> tuple:
     """Sweep complex exponential probes and compare with the closed form."""
     taus = cfg.tau_values
     phi = cfg.enclosure_phi
@@ -663,15 +630,12 @@ def run_enclosure(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
     if not sweep.fitted_limit <= ENCLOSURE_LIMIT_BAR:
         failures.append(f"fitted decay limit {sweep.fitted_limit:.4f} exceeds {ENCLOSURE_LIMIT_BAR}")
 
-    passed = not failures
     summary = {
         "tau_values": taus,
         "phi": phi,
         "log_over_tau": log_over_tau,
         "fitted_limit": sweep.fitted_limit,
         "limit_bar": ENCLOSURE_LIMIT_BAR,
-        "failures": failures,
-        "passed": passed,
     }
     table = {
         "tau": [s.tau for s in samples],
@@ -683,18 +647,20 @@ def run_enclosure(cfg: RunConfig, out_dir: Path) -> tuple[int, dict]:
         "closed_im": [closed.imag for closed in closed_forms],
         "rel_err": rel_errs,
     }
-    write_outputs(out_dir, "enclosure", table, summary, cfg)
-    svgplot.line_chart(
-        out_dir / "enclosure.svg",
-        [("(1/tau) log |I_tau|", taus, log_over_tau)],
+    chart = partial(
+        svgplot.line_chart,
+        series=[("(1/tau) log |I_tau|", taus, log_over_tau)],
         title="Enclosure decay, limit fit = " + f"{sweep.fitted_limit:.2e}",
         xlabel="tau",
         ylabel="(1/tau) log |I_tau|",
         logx=True,
     )
-    return (EXIT_OK if passed else EXIT_CHECK_FAILED), summary
+    return table, summary, failures, [], chart
 
 
+# A runner writes nothing and returns (table, summary, failures, soft_flags,
+# chart): CSV columns, JSON summary, failed checks, inconclusive outcomes
+# (failures only under --strict), and chart(path), which draws the SVG.
 RUNNERS = {
     "verify-identity": run_verify_identity,
     "indicator": run_indicator,
@@ -740,18 +706,22 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         started = time.perf_counter()
-        code, summary = RUNNERS[args.command](cfg, Path(cfg.out_dir))
+        table, summary, failures, soft_flags, chart = RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    passed = not failures and not (cfg.strict and soft_flags)
+    summary.update(failures=failures, soft_flags=soft_flags, strict=cfg.strict, passed=passed)
+    out_dir = Path(cfg.out_dir)
+    write_outputs(out_dir, args.command, table, summary, cfg)
+    chart(out_dir / f"{args.command}.svg")
     elapsed = time.perf_counter() - started
-    status = "PASS" if code == EXIT_OK else "FAIL"
-    print(f"[{args.command}] {status} in {elapsed:.2f}s, outputs in {cfg.out_dir}")
-    for line in summary.get("failures", []):
+    print(f"[{args.command}] {'PASS' if passed else 'FAIL'} in {elapsed:.2f}s, outputs in {cfg.out_dir}")
+    for line in failures:
         print(f"  failure: {line}")
-    for line in summary.get("soft_flags", []):
+    for line in soft_flags:
         print(f"  note: {line}")
-    return code
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -70,13 +70,6 @@ class DiskRegion:
             return OriginLocation.OUTSIDE
         return OriginLocation.BOUNDARY
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiskRegion":
-        if data.get("shape", "disk") != "disk":
-            raise ValueError(f"unsupported region shape {data.get('shape')!r}")
-        cx, cy = data["center"]
-        return cls(center=(float(cx), float(cy)), radius=float(data["radius"]))
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

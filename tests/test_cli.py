@@ -40,11 +40,16 @@ def read(path):
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_default_run_passes_and_writes_outputs(tmp_path, command):
-    out = tmp_path / "out"
-    assert main([command, "--out", str(out)]) == EXIT_OK
-    for suffix in (".csv", ".json", ".svg"):
-        target = out / f"{command}{suffix}"
-        assert target.is_file() and target.stat().st_size > 0
+    # Every summary carries the status that main decides, with or without --strict.
+    for strict in (False, True):
+        out = tmp_path / f"strict_{strict}"
+        assert main([command, "--out", str(out)] + ["--strict"] * strict) == EXIT_OK
+        for suffix in (".csv", ".json", ".svg"):
+            target = out / f"{command}{suffix}"
+            assert target.is_file() and target.stat().st_size > 0
+        summary = json.loads((out / f"{command}.json").read_text())["summary"]
+        assert summary["failures"] == [] and summary["soft_flags"] == []
+        assert summary["strict"] is strict and summary["passed"] is True
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
@@ -146,6 +151,9 @@ CONFIG_ERRORS = [
     ("enclosure", {"tau_values": [1.0 + k for k in range(MAX_TAU_VALUES + 1)]}),
     # No longer a config field: an unknown key.
     ("verify-identity", {"pairing_perturbation": 1.01}),
+    # Inside the ambient disk, but within validate_admissible's 1e-9 R margin.
+    ("indicator", {"regions": [{"center": [1.5, 0], "radius": 0.4999999999}]}),
+    ("indicator", {"regions": [{"shape": "square", "center": [0, 0], "radius": 1}]}),
 ]
 FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
 
@@ -356,8 +364,8 @@ def test_sign_map_row_count(tmp_path):
     assert len(lines) == 1 + 2 * 41 * 41
 
 
-def test_perturbed_pairing_fails(tmp_path, monkeypatch):
-    # A gap trace off by 1% must fail the identity check.
+def test_perturbed_pairing_fails(tmp_path, monkeypatch, capsys):
+    # A gap trace off by 1% must fail the identity check, naming the worst case.
     gap_neumann_trace = cli.gap_neumann_trace
     monkeypatch.setattr(cli, "gap_neumann_trace", lambda u, R: gap_neumann_trace(u, R).scaled(1.01))
     out = tmp_path / "out"
@@ -366,6 +374,10 @@ def test_perturbed_pairing_fails(tmp_path, monkeypatch):
     payload = json.loads((out / "verify-identity.json").read_text())
     assert payload["summary"]["passed"] is False
     assert payload["summary"]["max_residual"] > 1e-3
+    assert payload["summary"]["failures"]
+    rows = list(csv.DictReader(io.StringIO((out / "verify-identity.csv").read_text())))
+    worst = max(rows, key=lambda row: float(row["residual"]))["case"]
+    assert f"  failure: case {worst}: residual" in capsys.readouterr().out
 
 
 def test_unknown_config_key_is_config_error(tmp_path):

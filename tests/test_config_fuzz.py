@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,10 +31,23 @@ decreasing = increasing.map(lambda values: values[::-1])
 distances = st.builds(
     lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(min_value=-300, max_value=0)
 )
+AMBIENT = cli.RunConfig().boundary_radius
+# Disks whose |c| + rho lies a relative 1e-12 to 1e-8 below the default
+# boundary_radius: inside the ambient disk, but within the library's
+# admissibility margin of 1e-9 R.
+near_margin_disks = st.builds(
+    lambda share, angle, gap: {
+        "center": [share * AMBIENT * (1.0 - gap) * math.cos(angle), share * AMBIENT * (1.0 - gap) * math.sin(angle)],
+        "radius": (1.0 - share) * AMBIENT * (1.0 - gap),
+    },
+    st.floats(min_value=0.05, max_value=0.95),
+    st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    st.floats(min_value=-12.0, max_value=-8.0).map(lambda e: 10.0**e),
+)
 disks = st.fixed_dictionaries(
     {"center": st.lists(numbers, min_size=2, max_size=2), "radius": numbers},
     optional={"expect": st.sampled_from(["Bounded", "BlowUp", "Inconclusive", "bounded", None])},
-)
+) | near_margin_disks
 NEAR_VALID = {
     "boundary_radius": numbers,
     "eps": numbers,
@@ -84,6 +98,9 @@ def test_load_config_returns_checked_fields_or_config_error(tmp_path, config):
 
 
 INDICATOR = ["boundary_radius", "eps", "strict", "regions", "orders"]
+# Indicator runs that get past the schema: one to three disks, some of
+# them within the admissibility margin.
+indicator_runs = st.fixed_dictionaries({"regions": st.lists(disks, min_size=1, max_size=3)})
 ENCLOSURE = ["boundary_radius", "tau_values", "enclosure_phi"]
 RUNGE = ["boundary_radius", "t_values", "runge_order", "runge_region"]
 # Runge runs that get past the schema: three or four probe distances,
@@ -101,7 +118,7 @@ runge_runs = st.fixed_dictionaries(
 @settings(max_examples=100, deadline=None, database=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     command=st.sampled_from(["indicator", "enclosure", "runge"]),
-    indicator=configs(INDICATOR),
+    indicator=indicator_runs | configs(INDICATOR),
     enclosure=configs(ENCLOSURE),
     runge=runge_runs | configs(RUNGE),
 )

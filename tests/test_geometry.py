@@ -57,11 +57,6 @@ def test_classify_origin(center, radius, expected):
     assert DiskRegion(center, radius).classify_origin() is expected
 
 
-def test_region_from_dict_refuses_other_shapes():
-    with pytest.raises(ValueError):
-        DiskRegion.from_dict({"shape": "square", "center": [0, 0], "radius": 1})
-
-
 def test_quadrature_rule_validation():
     nodes = np.zeros((4, 2))
     with pytest.raises(ValueError):
