@@ -49,7 +49,6 @@ from .indicator import (
     indicator_sweep,
     log_slope,
     runge_fit,
-    scaled_sequence,
     sup_indicator,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "probe_kernel",
     "random_boundary_data",
     "runge_fit",
-    "scaled_sequence",
     "sign_indefiniteness_certificate",
     "sign_map",
     "sup_indicator",

@@ -35,7 +35,6 @@ from .checks import (
 from .geometry import DiskRegion, validate_admissible
 from .harmonic import (
     annulus_neumann_solution,
-    boundary_pairing,
     gap_neumann_trace,
     random_boundary_data,
     BoundaryData,
@@ -49,7 +48,6 @@ from .indicator import (
     blow_up_diagnostic,
     indicator_sweep,
     runge_fit,
-    scaled_sequence,
     validate_orders,
 )
 from . import svgplot
@@ -428,7 +426,6 @@ def run_runge(cfg: RunConfig) -> tuple:
     ts = cfg.t_values
     region, _ = _parse_region(cfg.runge_region, cfg.boundary_radius, "runge_region")
     R = cfg.boundary_radius
-    w = gap_neumann_trace(annulus_neumann_solution(R), R)
     # The convergence table's orders: 8, 16, ... below runge_order, then runge_order.
     orders = list(range(8, cfg.runge_order, 8)) + [cfg.runge_order]
 
@@ -447,7 +444,7 @@ def run_runge(cfg: RunConfig) -> tuple:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for order in orders:
                     fit = runge_fit(t, region, R, order)
-                    pairing = boundary_pairing(w, fit.g, R)
+                    pairing = -2.0 * np.pi * fit.dx_p0
                     rel_err = abs(pairing - target) / target
                     table_t["rel_err"].append(rel_err)
                     table_t["pairing_bound"].append(fit.pairing_bound)
@@ -457,14 +454,18 @@ def run_runge(cfg: RunConfig) -> tuple:
                             f"t={t}, N={order}: pairing error {rel_err:.2e} exceeds its certified bound "
                             f"{fit.pairing_bound:.2e}"
                         )
-                # The table ends at runge_order, so fit, pairing and rel_err are that fit's.
-                g_scaled = scaled_sequence(fit, cfg.eps)
+            # The table ends at runge_order, so fit, pairing and rel_err are that fit's.
+            if not fit.norm_on_G > 0.0:
+                raise ValueError("probe norm on the test region vanishes; cannot scale")
+            # The scale eps / (2 ||E_t||) brings the lift's H1(G) norm near eps / 2.
+            scaled_value = -2.0 * np.pi * (fit.dx_p0 * (cfg.eps / (2.0 * fit.norm_on_G)))
+            if not math.isfinite(scaled_value):
+                raise ValueError(f"the scaled pairing {scaled_value} leaves the float64 range")
         except FloatingPointError as exc:
-            raise ConfigError(f"{where}: the Runge fit or its scaled data leaves the float64 range ({exc})") from exc
-        except ValueError as exc:  # a refused geometry, or a probe norm on G that underflowed to 0
+            raise ConfigError(f"{where}: the Runge fit leaves the float64 range ({exc})") from exc
+        except ValueError as exc:  # a refused geometry, a probe norm on G that underflowed to 0, or an overflow
             raise ConfigError(f"{where}: {exc}") from exc
         convergence.append(table_t)
-        scaled_value = boundary_pairing(w, g_scaled, R)
         zg_scaled = fit.zg_norm_on_G * cfg.eps / (2.0 * fit.norm_on_G)
         fits.append(fit)
         pairings.append(pairing)
@@ -496,7 +497,6 @@ def run_runge(cfg: RunConfig) -> tuple:
                 soft_flags.append(message)
             else:
                 failures.append(message)
-    # Past R ~ 1e154 the gap trace's R^-2 underflows and a pairing can be 0.
     ratios = [b / a if a != 0.0 else math.nan for a, b in zip(scaled_values, scaled_values[1:])]
 
     summary = {

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -454,28 +454,52 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
 class RungeFit:
     """Least-squares fit P of a shifted log potential by harmonic polynomials.
 
-    g keeps the modes n <= 1 of P's trace on r = R, built from P(0) and
-    grad P(0): those are the only modes the cavity's gap trace pairs
-    with, so l(g) = -2 pi dx P(0) and the lift of g matches P to first
-    order at the origin.  residual is the H1 misfit of P against E_t over
-    G and B, norm_on_G and zg_norm_on_G the H1(G) norms of E_t and of P.
-    pairing_bound bounds the relative error of l(g) against 2 pi / t,
-    and log10_max_g is log10 of max |P| on r = R, the size of the full
-    boundary data the fit stands for.  n_retained is the rank of the
-    least-squares matrix, out of 2 order + 1 columns.
+    P = Re p with p = sum_k coeff[k] q_k in the Arnoldi basis of the fit
+    points, whose recurrence H keeps; both arrays are read-only.  dx_p0
+    is dx P(0) = Re p'(0), so the pairing with the cavity's gap trace is
+    l(g) = -2 pi dx_p0 at every boundary radius.  g keeps the modes
+    n <= 1 of P's trace on r = boundary_radius, built from P(0) and
+    grad P(0): those are the only modes the gap trace pairs with, and
+    the lift of g matches P to first order at the origin.  residual is
+    the H1 misfit of P against E_t over G and B, norm_on_G and
+    zg_norm_on_G the H1(G) norms of E_t and of P.  pairing_bound bounds
+    the relative error of l(g) against 2 pi / t.  n_retained is the rank
+    of the least-squares matrix, out of 2 order + 1 columns.
     """
 
     t: float
     cavity: DiskRegion
     ball: DiskRegion
     order: int
+    boundary_radius: float
     g: BoundaryData
+    dx_p0: float
     residual: float
     norm_on_G: float
     zg_norm_on_G: float
     pairing_bound: float
-    log10_max_g: float
     n_retained: int
+    H: np.ndarray = field(compare=False, repr=False)
+    coeff: np.ndarray = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("H", "coeff"):
+            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=complex))
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def log10_max_g(self) -> float:
+        """log10 of max |P| on r = R, the size of the full boundary data the fit stands for.
+
+        Computed when read, by one pass of H's recurrence on the same
+        m = 4N + 16 equispaced points of r = R; powers of two carry the
+        scale, so the log stays finite where P itself would overflow.
+        """
+        m = 4 * self.order + 16
+        circle = np.exp(2j * np.pi * np.arange(m) / m)
+        values, exponent = _arnoldi_real_part(self.H, self.coeff, self.boundary_radius * circle)
+        return exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
 
 
 def _arnoldi(z: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -623,8 +647,6 @@ def runge_fit(
     # irfft divides by its output length 4m, not m, hence the factor 4.
     on_fine = np.fft.irfft(np.fft.rfft(fitted[m:]), 4 * m) * 4.0
     pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
-    values, exponent = _arnoldi_real_part(H, coeff, R * circle)
-    log10_max_g = exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
 
     p0, dp0 = _at_origin(H, coeff)
     g = BoundaryData([p0.real, R * dp0.real], [0.0, -R * dp0.imag])
@@ -633,30 +655,17 @@ def runge_fit(
         cavity=cavity,
         ball=ball,
         order=order,
+        boundary_radius=R,
         g=g,
+        dx_p0=float(dp0.real),
         residual=residual,
         norm_on_G=norm_on_G,
         zg_norm_on_G=zg_norm_on_G,
         pairing_bound=pairing_bound,
-        log10_max_g=log10_max_g,
         n_retained=int(rank),
+        H=H,
+        coeff=coeff,
     )
-
-
-def scaled_sequence(fit: RungeFit, eps: float) -> BoundaryData:
-    """Rescale the fitted boundary data so the fit has H1(G) norm near eps/2.
-
-    The scale eps / (2 ||E_t||_{H1(G)}) uses the probe norm as the size
-    reference; since the fit P tracks the probe on G, the scaled P lands
-    close to eps/2 while the pairing inherits the same factor.  fit.g
-    holds only the modes of P's trace that the pairing sees, so the
-    result carries the scaled pairing, not the scaled P.
-    """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if fit.norm_on_G <= 0.0:
-        raise ValueError("probe norm on the test region vanishes; cannot scale")
-    return fit.g.scaled(eps / (2.0 * fit.norm_on_G))
 
 
 def log_slope(curve: IndicatorCurve) -> tuple[float, float]:

@@ -9,7 +9,10 @@ rather than in the package.  Each keeps the guards it had there:
 * the logarithmic point source log|x - p|;
 * circle contours with their trapezoid rule, and the Green pairing on an
   interior circle, the second route to the boundary pairing on r = R;
-* the H1 inner product by area quadrature.
+* the H1 inner product by area quadrature;
+* a Runge fit's pairing modes rescaled to the constraint radius, the
+  boundary-data route to the scaled pairing that `nrtlab runge` takes
+  as -2 pi dx P(0) times the same scale.
 
 The quadrature Gram system and its sup stay in nrtlab.indicator, next
 to the disk quadrature they use.
@@ -23,6 +26,7 @@ import numpy as np
 
 from nrtlab.geometry import DiskRegion, QuadratureRule, as_points
 from nrtlab.harmonic import BoundaryData, HarmonicSeries
+from nrtlab.indicator import RungeFit
 
 
 def boundary_eval(g: BoundaryData, theta):
@@ -208,3 +212,19 @@ def contour_green_pairing(f, z, contour: CircleContour, quad: QuadratureRule | N
     """Green pairing integral (df/dnu) z - f (dz/dnu) over a circle."""
     flux_term, value_term = contour_pairing_pieces(f, z, contour, quad)
     return flux_term - value_term
+
+
+def scaled_sequence(fit: RungeFit, eps: float) -> BoundaryData:
+    """Rescale the fitted boundary data so the fit has H1(G) norm near eps/2.
+
+    The scale eps / (2 ||E_t||_{H1(G)}) uses the probe norm as the size
+    reference; since the fit P tracks the probe on G, the scaled P lands
+    close to eps/2 while the pairing inherits the same factor.  fit.g
+    holds only the modes of P's trace that the pairing sees, so the
+    result carries the scaled pairing, not the scaled P.
+    """
+    if eps <= 0.0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if fit.norm_on_G <= 0.0:
+        raise ValueError("probe norm on the test region vanishes; cannot scale")
+    return fit.g.scaled(eps / (2.0 * fit.norm_on_G))

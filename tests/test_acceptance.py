@@ -27,11 +27,10 @@ from nrtlab import (
     probe_kernel,
     random_boundary_data,
     runge_fit,
-    scaled_sequence,
     sign_indefiniteness_certificate,
     sign_map,
 )
-from reference import CircleContour, contour_green_pairing, h1_inner
+from reference import CircleContour, contour_green_pairing, h1_inner, scaled_sequence
 
 R = 2.0
 EPS = 1e-3

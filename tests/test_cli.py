@@ -205,8 +205,6 @@ def test_runge_fit_out_of_float_range_is_config_error(tmp_path, capsys, config):
     [
         # At t = 1e-20 the fit cannot resolve the ball and its pairings come out negative.
         {"t_values": [1e-20, 1e-21, 1e-22]},
-        # At R = 1e162 the gap trace's R^-2 underflows and every pairing reads 0.
-        {"boundary_radius": 1e162},
     ],
 )
 def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
@@ -221,6 +219,21 @@ def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
     assert summary["verdict"] == "undefined"
     first = summary["t_values"][0]
     assert any(line.startswith(f"t={first}: pairing") and "not positive" in line for line in summary["failures"])
+
+
+def test_runge_pairings_do_not_depend_on_the_boundary_radius(tmp_path):
+    # The pairing is -2 pi dx P(0) and the fit never uses R, so the run
+    # passes even where the gap trace's R^-2 underflows (R > ~1e154).
+    summaries = {}
+    for radius in (2.0, 1e155, 1e300):
+        path = tmp_path / f"cfg{radius:g}.json"
+        path.write_text(json.dumps({"boundary_radius": radius}))
+        out = tmp_path / f"out{radius:g}"
+        assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        summaries[radius] = json.loads((out / "runge.json").read_text())["summary"]
+    for radius in (1e155, 1e300):
+        assert summaries[radius]["pairings"] == summaries[2.0]["pairings"]
+        assert summaries[radius]["scaled_values"] == summaries[2.0]["scaled_values"]
 
 
 def test_runge_json_holds_convergence_table(tmp_path):
@@ -415,8 +428,8 @@ def test_runge_geometry_violation_is_config_error(tmp_path):
         # The probe's H1 norm on a region this small underflows to 0.
         {"runge_region": {"center": [1.3, 0.0], "radius": 1e-300}},
         {"runge_region": {"center": [1.3, 0.0], "radius": 1e-200}},
-        # R dx P(0) times eps / (2 ||E_t||) overflows.
-        {"eps": 1e300, "boundary_radius": 1e100},
+        # -2 pi dx P(0) times eps / (2 ||E_t||) overflows.
+        {"eps": 1e308},
     ],
 )
 def test_runge_scaled_data_out_of_float_range_is_config_error(tmp_path, capsys, config):

@@ -33,11 +33,10 @@ from nrtlab.indicator import (
     indicator_sweep,
     log_slope,
     runge_fit,
-    scaled_sequence,
     sup_indicator,
     validate_orders,
 )
-from reference import h1_inner
+from reference import h1_inner, scaled_sequence
 
 R = 2.0
 EPS = 1e-3
@@ -396,8 +395,9 @@ def test_runge_fit_builds_no_quadrature_and_calls_no_eigh(monkeypatch):
 
 
 def test_runge_fit_runs_one_recurrence_off_the_fit_points(monkeypatch):
-    # Only log10_max_g evaluates P away from the 2m fit points; the bound's
-    # samples on the circle of B come from the fitted values themselves.
+    # The fit evaluates P only at its 2m fit points and the origin; the
+    # bound's samples on the circle of B come from the fitted values
+    # themselves.  log10_max_g runs one recurrence on r = R when read.
     import nrtlab.indicator
 
     calls = []
@@ -409,8 +409,11 @@ def test_runge_fit_runs_one_recurrence_off_the_fit_points(monkeypatch):
 
     monkeypatch.setattr(nrtlab.indicator, "_arnoldi_real_part", counting)
     for order in (8, 32, 64):
-        runge_fit(0.25, DiskRegion((1.1, -0.2), 0.3), R, order)
-    assert calls == [4 * order + 16 for order in (8, 32, 64)]
+        fit = runge_fit(0.25, DiskRegion((1.1, -0.2), 0.3), R, order)
+        assert calls == []
+        assert math.isfinite(fit.log10_max_g)
+        assert calls == [4 * order + 16]
+        calls.clear()
 
 
 # Criterion 10's disks, and the seeded disks of the benchmark's probe route
@@ -437,7 +440,8 @@ PROBE_ROUTE_DISKS = [
 def test_runge_fit_bound_samples_match_the_recurrence():
     # P is a trigonometric polynomial of degree <= N < m / 2 on the circle
     # of B, so zero-padding the FFT of its m fitted samples to 4m points
-    # must give what the Arnoldi recurrence gives at those points.
+    # must give what the Arnoldi recurrence gives at those points.  The
+    # fit's kept polynomial gives log10_max_g as the recurrence on r = R.
     from nrtlab.indicator import _arnoldi, _arnoldi_real_part
 
     worst = 0.0
@@ -457,6 +461,8 @@ def test_runge_fit_bound_samples_match_the_recurrence():
             worst = max(worst, float(np.max(np.abs(padded - np.ldexp(values, exponent)))))
             bound = 8.0 / np.pi * float(np.max(np.abs(padded - np.log(np.abs(fine - t)))))
             assert fit.pairing_bound == bound
+            values, exponent = _arnoldi_real_part(H, coeff, R * circle)
+            assert fit.log10_max_g == exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
     assert worst <= 1e-10
 
 
