@@ -55,10 +55,11 @@ UNBOUNDED_SHARE = 1e-8
 # Largest cutoff order a sweep accepts.  The series costs O(N), so the
 # cap bounds the run time of every sweep.
 MAX_SWEEP_ORDER = 1024
-# Largest cutoff order a Runge fit accepts.  The fit samples m = 4N + 16
-# points on each of two circles, so its arrays grow like N^2 and its time
-# like N^3 (N Arnoldi steps against up to N + 1 rows, and a 2m x (2N + 1)
-# least-squares solve); the cap bounds both.
+# Largest cutoff order a Runge fit accepts.  The fit carries N + 1 Taylor
+# coefficients per circle, so its arrays grow like N^2 and its time like
+# N^3 (N Arnoldi steps on rows of 2(N + 1) coefficients against up to
+# N + 1 rows, and a (4N + 2) x (2N + 1) least-squares solve); E_t's FFT
+# and the bound take m = 4N + 16 and 4m samples.  The cap bounds both.
 MAX_RUNGE_ORDER = 96
 # blow_up_diagnostic's bars on the fitted slope of log(value) and its R^2.
 BLOW_UP_SLOPE = 0.8
@@ -454,17 +455,20 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
 class RungeFit:
     """Least-squares fit P of a shifted log potential by harmonic polynomials.
 
-    P = Re p with p = sum_k coeff[k] q_k in the Arnoldi basis of the fit
-    points, whose recurrence H keeps; both arrays are read-only.  dx_p0
-    is dx P(0) = Re p'(0), so the pairing with the cavity's gap trace is
-    l(g) = -2 pi dx_p0 at every boundary radius.  g keeps the modes
-    n <= 1 of P's trace on r = boundary_radius, built from P(0) and
-    grad P(0): those are the only modes the gap trace pairs with, and
-    the lift of g matches P to first order at the origin.  residual is
-    the H1 misfit of P against E_t over G and B, norm_on_G and
-    zg_norm_on_G the H1(G) norms of E_t and of P.  pairing_bound bounds
-    the relative error of l(g) against 2 pi / t.  n_retained is the rank
-    of the least-squares matrix, out of 2 order + 1 columns.
+    P = Re p with p = sum_k coeff[k] q_k in the Arnoldi basis of the fit,
+    whose recurrence H keeps; both arrays are read-only.  H is the
+    Hessenberg matrix of Vandermonde with Arnoldi on the m = 4N + 16
+    equispaced points of each fit circle, built from the circles' Taylor
+    coefficients (see runge_fit), so H's recurrence evaluates p anywhere.
+    dx_p0 is dx P(0) = Re p'(0), so the pairing with the cavity's gap
+    trace is l(g) = -2 pi dx_p0 at every boundary radius.  g keeps the
+    modes n <= 1 of P's trace on r = boundary_radius, built from P(0) and
+    grad P(0): those are the only modes the gap trace pairs with, and the
+    lift of g matches P to first order at the origin.  residual is the H1
+    misfit of P against E_t over G and B, norm_on_G and zg_norm_on_G the
+    H1(G) norms of E_t and of P.  pairing_bound bounds the relative error
+    of l(g) against 2 pi / t.  n_retained is the rank of the
+    least-squares matrix, out of 2 order + 1 columns.
     """
 
     t: float
@@ -492,9 +496,9 @@ class RungeFit:
     def log10_max_g(self) -> float:
         """log10 of max |P| on r = R, the size of the full boundary data the fit stands for.
 
-        Computed when read, by one pass of H's recurrence on the same
-        m = 4N + 16 equispaced points of r = R; powers of two carry the
-        scale, so the log stays finite where P itself would overflow.
+        Computed when read, by one pass of H's recurrence on m = 4N + 16
+        equispaced points of r = R; powers of two carry the scale, so the
+        log stays finite where P itself would overflow.
         """
         m = 4 * self.order + 16
         circle = np.exp(2j * np.pi * np.arange(m) / m)
@@ -502,28 +506,46 @@ class RungeFit:
         return exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
 
 
-def _arnoldi(z: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vandermonde with Arnoldi on the points z, up to degree order.
+def _arnoldi_taylor(center: complex, rho: float, radius: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vandermonde with Arnoldi on two circles, carried in scaled Taylor coefficients.
 
-    Returns (Q, H): row k of Q holds q_k at the points, where q_0 = 1 and
-    q_{k+1} = (z q_k - sum_{i<=k} H[i, k] q_i) / H[k+1, k], every row of
-    2-norm sqrt(z.size) and the rows orthogonal (Brubeck, Nakatsukasa and
-    Trefethen, SIAM Review 63(2), 2021).  Each step is block classical
-    Gram-Schmidt with one reorthogonalisation.
+    Row k of Q holds q_k(center + rho w) = sum_n Q[k, 2n] w^n and
+    q_k(radius w) = sum_n Q[k, 2n + 1] w^n, n = 0..order, so the first
+    2(k + 1) entries hold all of q_k.  On m > 2 order equispaced points of
+    each circle the trapezoid rule is exact for every product of two such
+    polynomials, so the discrete inner product over those 2m points is m
+    times the coefficient product, and (Q, H) are the Arnoldi basis and
+    Hessenberg matrix of the 2m points (Brubeck, Nakatsukasa and
+    Trefethen, SIAM Review 63(2), 2021) with every row of squared norm 2.
+    Multiplying by z is a fixed bidiagonal map: a_n -> center a_n +
+    rho a_{n-1} about the center, b_n -> radius b_{n-1} about 0.  Each
+    step is block classical Gram-Schmidt with one reorthogonalisation.
     """
-    count = z.size
-    Q = np.empty((order + 1, count), dtype=complex)
+    size = 2 * (order + 1)
+    diagonal = np.zeros(size, dtype=complex)
+    diagonal[0::2] = center
+    step = np.empty(size - 2)
+    step[0::2] = rho
+    step[1::2] = radius
+    Q = np.zeros((order + 1, size), dtype=complex)
+    # Row k of dual is conj(q_k) / 2, so dual @ v is the projection of v on the basis.
+    dual = np.zeros_like(Q)
     H = np.zeros((order + 1, order), dtype=complex)
-    Q[0] = 1.0
+    Q[0, :2] = 1.0
+    dual[0, :2] = 0.5
     for k in range(order):
-        v = z * Q[k]
-        basis = Q[: k + 1]
-        for _ in range(2):
-            h = (basis @ v.conj()).conj() / count
-            v -= h @ basis
-            H[: k + 1, k] += h
-        H[k + 1, k] = np.linalg.norm(v) / math.sqrt(count)
-        Q[k + 1] = v / H[k + 1, k]
+        live = 2 * (k + 2)  # z q_k has degree k + 1
+        v = diagonal[:live] * Q[k, :live]
+        v[2:] += step[: live - 2] * Q[k, : live - 2]
+        basis, duals = Q[: k + 1, :live], dual[: k + 1, :live]
+        h = duals @ v
+        v -= h @ basis
+        again = duals @ v
+        v -= again @ basis
+        H[: k + 1, k] = h + again
+        H[k + 1, k] = math.sqrt(np.vdot(v, v).real / 2.0)
+        Q[k + 1, :live] = v / H[k + 1, k]
+        dual[k + 1, :live] = Q[k + 1, :live].conj() / 2.0
     return Q, H
 
 
@@ -550,33 +572,17 @@ def _arnoldi_real_part(H: np.ndarray, coeff: np.ndarray, z: np.ndarray) -> tuple
     return ((coeff * np.ldexp(1.0, e - top)) @ S).real, top
 
 
-def _at_origin(H: np.ndarray, coeff: np.ndarray) -> tuple[complex, complex]:
-    """p(0) and p'(0) for p = sum_k coeff[k] q_k, through H's recurrence."""
-    order = H.shape[1]
-    q = np.zeros(order + 1, dtype=complex)
-    dq = np.zeros(order + 1, dtype=complex)
-    q[0] = 1.0
-    for k in range(order):
-        q[k + 1] = -(H[: k + 1, k] @ q[: k + 1]) / H[k + 1, k]
-        dq[k + 1] = (q[k] - H[: k + 1, k] @ dq[: k + 1]) / H[k + 1, k]
-    return coeff @ q, coeff @ dq
+def _h1_norm_sq(coeffs: np.ndarray, rho: float) -> np.ndarray:
+    """Squared H1 norm on disk(c, rho) of the harmonic functions with traces Re sum_n coeffs[n] e^{in theta}.
 
-
-def _h1_norm_sq(samples: np.ndarray, rho: float) -> np.ndarray:
-    """Squared H1 norm on disk(c, rho) of the harmonic functions with these traces.
-
-    Each row holds m equispaced samples on the circle about c.  With the
-    trace's Fourier coefficients a_n, b_n from one real FFT,
-    ||h||^2 = pi rho^2 a_0^2 + pi sum_{n>=1} (a_n^2 + b_n^2)(n + rho^2 / (2 (n + 1))),
-    summed over the modes n < m/2 the samples resolve.
+    coeffs[..., 0] must be real.  With a_n, b_n the trace's cosine and
+    sine coefficients, a_0 = coeffs[0] and a_n^2 + b_n^2 = |coeffs[n]|^2,
+    ||h||^2 = pi rho^2 a_0^2 + pi sum_{n>=1} (a_n^2 + b_n^2)(n + rho^2 / (2 (n + 1))).
     """
-    m = samples.shape[-1]
-    # |F_n|^2 / m^2 is a_0^2 at n = 0 and (a_n^2 + b_n^2) / 4 above.
-    power = np.abs(np.fft.rfft(samples, axis=-1)[..., : (m + 1) // 2]) ** 2 / (m * m)
-    n = np.arange(power.shape[-1])
-    weight = 4.0 * np.pi * (n + rho * rho / (2.0 * (n + 1.0)))
+    n = np.arange(coeffs.shape[-1])
+    weight = np.pi * (n + rho * rho / (2.0 * (n + 1.0)))
     weight[0] = np.pi * rho * rho
-    return power @ weight
+    return np.abs(coeffs) ** 2 @ weight
 
 
 def runge_fit(
@@ -587,21 +593,35 @@ def runge_fit(
 ) -> RungeFit:
     """Fit E_t(x) = log|x - t e1| on G union B_{t/2}(0) at cutoff order N.
 
-    P = Re p for a complex polynomial p of degree <= N, fitted by real
-    least squares to E_t on m = 4N + 16 equispaced points on each of the
+    P = Re p for a complex polynomial p of degree <= N, the real least
+    squares fit to E_t on m = 4N + 16 equispaced points on each of the
     circles bounding G and the ball B = B_{t/2}(0), in the Arnoldi basis
-    of those 2m points.  t e1 lies outside both closed disks, so P - E_t
-    is harmonic on each and its boundary values control it: the H1 norms
-    come from the boundary Fourier coefficients, and since dx (P - E_t)(0)
-    is the Poisson average of (P - E_t) cos(theta) over the circle of B,
-    the relative pairing error is at most (8 / pi) max |P - E_t| on that
-    circle, taken on 4m points.  P's values there come from its m fitted
-    samples on that circle by one zero-padded FFT, which is exact: P is a
-    trigonometric polynomial of degree <= N < m / 2 there.  Preconditions
-    keep the singular point t e1 away from both disks: it must lie
-    strictly outside the cavity closure, and the cavity must stay outside
-    the closed ball of radius t about the origin.  Requires t < R so the
-    probe point stays inside the ambient disk.
+    of those 2m points.  The fit runs on each circle's N + 1 scaled Taylor
+    coefficients instead of its m samples: on a circle the m-point
+    trapezoid rule is exact for every product of degree <= 2N < m
+    (Trefethen and Weideman, SIAM Review 56(3), 2014), so by discrete
+    Parseval the sum of squares over the 2m points is m times a sum over
+    the coefficients.  The basis is _arnoldi_taylor's, and E_t's
+    coefficients come from one real FFT of its m samples per circle; the
+    sum of squares m [(Re A_0 - e_0)^2 + sum_{n=1..N} |A_n - e_n|^2 / 2]
+    per circle, for P's coefficients A_n (B_n on the ball) against E_t's
+    e_n, is a (4N + 2) x (2N + 1) least-squares problem instead of
+    2m x (2N + 1).
+    Its singular values are those of the point-space matrix over sqrt(m),
+    so rcond = eps 2m keeps that matrix's rank rule.  m itself only sets
+    E_t's FFT and the 4m bound samples.
+
+    t e1 lies outside both closed disks, so P - E_t is harmonic on each
+    and its boundary coefficients control it: they give the H1 norms, and
+    since dx (P - E_t)(0) is the Poisson average of (P - E_t) cos(theta)
+    over the circle of B, the relative pairing error is at most
+    (8 / pi) max |P - E_t| on that circle, taken on 4m points, where P's
+    values come from one inverse FFT of its coefficients about 0.  Those
+    coefficients also give P(0) = Re B_0 and p'(0) = B_1 / (t / 2).
+    Preconditions keep the singular point t e1 away from both disks: it
+    must lie strictly outside the cavity closure, and the cavity must stay
+    outside the closed ball of radius t about the origin.  Requires t < R
+    so the probe point stays inside the ambient disk.
     """
     validate_admissible(cavity, boundary_radius)
     if not (0.0 < t < boundary_radius):
@@ -624,32 +644,51 @@ def runge_fit(
     t = float(t)
     R = float(boundary_radius)
     ball = DiskRegion((0.0, 0.0), 0.5 * t)
+    width = order + 1
     m = 4 * order + 16
     circle = np.exp(2j * np.pi * np.arange(m) / m)
-    z = np.concatenate([complex(*cavity.center) + cavity.radius * circle, ball.radius * circle])
-    probe = np.log(np.abs(z - t))
+    z = np.stack([complex(*cavity.center) + cavity.radius * circle, ball.radius * circle])
+    # E_t = Re sum_n e_n w^n on each circle, for the modes n < m / 2 the samples resolve.
+    probe = np.fft.rfft(np.log(np.abs(z - t)), axis=-1)[:, : m // 2] / m
+    probe[:, 1:] *= 2.0
 
-    Q, H = _arnoldi(z, order)
-    # P = sum_k a_k Re q_k - b_k Im q_k for coefficients a_k + i b_k;
-    # Im q_0 = 0, so b_0 has no column.
-    A = np.concatenate([Q.real, -Q[1:].imag]).T
-    x, _, rank, _ = np.linalg.lstsq(A, probe, rcond=None)
-    coeff = x[: order + 1] + 1j * np.concatenate([[0.0], x[order + 1 :]])
+    Q, H = _arnoldi_taylor(complex(*cavity.center), cavity.radius, ball.radius, order)
+    # Column j of M holds the coefficients of q_j, each mode's row weighted
+    # by its share of the sum of squares.  P = sum_k a_k Re q_k - b_k Im q_k
+    # for coefficients a_k + i b_k, and Im q_0 = 0, so b_0 has no column.
+    # Re A_0 of each circle gives one row, Re and Im A_n, n >= 1, two.
+    scale = np.full(2 * width, math.sqrt(0.5))
+    scale[:2] = 1.0
+    M = Q.T * scale[:, None]
+    A = np.concatenate(
+        [
+            np.concatenate([M.real, -M[:, 1:].imag], axis=1),
+            np.concatenate([M[2:].imag, M[2:, 1:].real], axis=1),
+        ]
+    )
+    target = probe[:, :width].T.ravel() * scale
+    rhs = np.concatenate([target.real, target[2:].imag])
+    x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=np.finfo(float).eps * 2 * m)
+    coeff = x[:width] + 1j * np.concatenate([[0.0], x[width:]])
 
-    fitted = A @ x
-    on_G = _h1_norm_sq(np.stack([fitted[:m] - probe[:m], fitted[:m], probe[:m]]), cavity.radius)
-    on_B = _h1_norm_sq(fitted[m:] - probe[m:], ball.radius)
-    residual = math.sqrt(on_G[0] + on_B)
-    zg_norm_on_G = math.sqrt(on_G[1])
-    norm_on_G = math.sqrt(on_G[2])
+    # P's coefficients A_n about the center and B_n about 0; P = Re p, so
+    # only the real parts of A_0 and B_0 are P's.
+    fitted = (coeff @ Q).reshape(width, 2).T
+    fitted[:, 0] = fitted[:, 0].real
+    misfit = probe.copy()
+    misfit[:, :width] -= fitted
+    residual = math.sqrt(_h1_norm_sq(misfit[0], cavity.radius) + _h1_norm_sq(misfit[1], ball.radius))
+    zg_norm_on_G = math.sqrt(_h1_norm_sq(fitted[0], cavity.radius))
+    norm_on_G = math.sqrt(_h1_norm_sq(probe[0], cavity.radius))
 
     fine = ball.radius * np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
-    # irfft divides by its output length 4m, not m, hence the factor 4.
-    on_fine = np.fft.irfft(np.fft.rfft(fitted[m:]), 4 * m) * 4.0
+    # Unscaled, irfft sums X_0 + 2 Re sum_n X_n e^{in theta}, so X_n = B_n / 2 for n >= 1.
+    on_fine = np.fft.irfft(np.concatenate([fitted[1, :1], 0.5 * fitted[1, 1:]]), 4 * m, norm="forward")
     pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
 
-    p0, dp0 = _at_origin(H, coeff)
-    g = BoundaryData([p0.real, R * dp0.real], [0.0, -R * dp0.imag])
+    p0 = fitted[1, 0].real
+    dp0 = fitted[1, 1] / ball.radius
+    g = BoundaryData([p0, R * dp0.real], [0.0, -R * dp0.imag])
     return RungeFit(
         t=t,
         cavity=cavity,

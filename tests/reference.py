@@ -12,7 +12,10 @@ rather than in the package.  Each keeps the guards it had there:
 * the H1 inner product by area quadrature;
 * a Runge fit's pairing modes rescaled to the constraint radius, the
   boundary-data route to the scaled pairing that `nrtlab runge` takes
-  as -2 pi dx P(0) times the same scale.
+  as -2 pi dx P(0) times the same scale;
+* the Runge fit on samples: Vandermonde with Arnoldi on the 2m fit
+  points and a least-squares solve over them, the route that
+  `runge_fit` replaces by the circles' Taylor coefficients.
 
 The quadrature Gram system and its sup stay in nrtlab.indicator, next
 to the disk quadrature they use.
@@ -20,6 +23,7 @@ to the disk quadrature they use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,3 +232,92 @@ def scaled_sequence(fit: RungeFit, eps: float) -> BoundaryData:
     if fit.norm_on_G <= 0.0:
         raise ValueError("probe norm on the test region vanishes; cannot scale")
     return fit.g.scaled(eps / (2.0 * fit.norm_on_G))
+
+
+def arnoldi_on_points(z: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vandermonde with Arnoldi on the points z, up to degree order.
+
+    Returns (Q, H): row k of Q holds q_k at the points, where q_0 = 1 and
+    q_{k+1} = (z q_k - sum_{i<=k} H[i, k] q_i) / H[k+1, k], every row of
+    2-norm sqrt(z.size) and the rows orthogonal (Brubeck, Nakatsukasa and
+    Trefethen, SIAM Review 63(2), 2021).  Each step is block classical
+    Gram-Schmidt with one reorthogonalisation.
+    """
+    count = z.size
+    Q = np.empty((order + 1, count), dtype=complex)
+    H = np.zeros((order + 1, order), dtype=complex)
+    Q[0] = 1.0
+    for k in range(order):
+        v = z * Q[k]
+        basis = Q[: k + 1]
+        for _ in range(2):
+            h = (basis @ v.conj()).conj() / count
+            v -= h @ basis
+            H[: k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(v) / math.sqrt(count)
+        Q[k + 1] = v / H[k + 1, k]
+    return Q, H
+
+
+def _derivative_at_origin(H: np.ndarray, coeff: np.ndarray) -> complex:
+    """p'(0) for p = sum_k coeff[k] q_k, through H's recurrence."""
+    order = H.shape[1]
+    q = np.zeros(order + 1, dtype=complex)
+    dq = np.zeros(order + 1, dtype=complex)
+    q[0] = 1.0
+    for k in range(order):
+        q[k + 1] = -(H[: k + 1, k] @ q[: k + 1]) / H[k + 1, k]
+        dq[k + 1] = (q[k] - H[: k + 1, k] @ dq[: k + 1]) / H[k + 1, k]
+    return coeff @ dq
+
+
+def _sampled_h1_norm_sq(samples: np.ndarray, rho: float) -> np.ndarray:
+    """Squared H1 norm on disk(c, rho) of the harmonic functions whose traces have these m samples."""
+    m = samples.shape[-1]
+    # |F_n|^2 / m^2 is a_0^2 at n = 0 and (a_n^2 + b_n^2) / 4 above.
+    power = np.abs(np.fft.rfft(samples, axis=-1)[..., : (m + 1) // 2]) ** 2 / (m * m)
+    n = np.arange(power.shape[-1])
+    weight = 4.0 * np.pi * (n + rho * rho / (2.0 * (n + 1.0)))
+    weight[0] = np.pi * rho * rho
+    return power @ weight
+
+
+@dataclass(frozen=True)
+class PointSpaceFit:
+    """What the sampled Runge fit reports; see point_space_runge_fit."""
+
+    H: np.ndarray
+    coeff: np.ndarray
+    n_retained: int
+    dx_p0: float
+    residual: float
+    pairing_bound: float
+
+
+def point_space_runge_fit(t: float, cavity: DiskRegion, order: int) -> PointSpaceFit:
+    """The Runge fit of E_t = log|x - t e1| on samples, the reference for runge_fit's fit on coefficients.
+
+    Vandermonde with Arnoldi on the m = 4N + 16 equispaced points of each
+    of the circles bounding G and B = B(0, t/2), real least squares over
+    those 2m points with numpy's default rank rule, H1 norms from one FFT
+    of the fitted samples per circle, the bound's 4m samples on the circle
+    of B by zero-padding that circle's FFT, and p'(0) through H's
+    recurrence.  The caller keeps t e1 off both closed disks.
+    """
+    m = 4 * order + 16
+    circle = np.exp(2j * np.pi * np.arange(m) / m)
+    z = np.concatenate([complex(*cavity.center) + cavity.radius * circle, 0.5 * t * circle])
+    probe = np.log(np.abs(z - t))
+    Q, H = arnoldi_on_points(z, order)
+    A = np.concatenate([Q.real, -Q[1:].imag]).T
+    x, _, rank, _ = np.linalg.lstsq(A, probe, rcond=None)
+    coeff = x[: order + 1] + 1j * np.concatenate([[0.0], x[order + 1 :]])
+    fitted = A @ x
+    on_G = _sampled_h1_norm_sq(fitted[:m] - probe[:m], cavity.radius)
+    residual = math.sqrt(on_G + _sampled_h1_norm_sq(fitted[m:] - probe[m:], 0.5 * t))
+    fine = 0.5 * t * np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
+    # irfft divides by its output length 4m, not m, hence the factor 4.
+    on_fine = np.fft.irfft(np.fft.rfft(fitted[m:]), 4 * m) * 4.0
+    pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
+    dp0 = _derivative_at_origin(H, coeff)
+    return PointSpaceFit(H, coeff, int(rank), float(dp0.real), residual, pairing_bound)

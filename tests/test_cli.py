@@ -203,8 +203,8 @@ def test_runge_fit_out_of_float_range_is_config_error(tmp_path, capsys, config):
 @pytest.mark.parametrize(
     "config",
     [
-        # At t = 1e-20 the fit cannot resolve the ball and its pairings come out negative.
-        {"t_values": [1e-20, 1e-21, 1e-22]},
+        # At order 16 the fit cannot resolve a ball of radius 5e-21, and its pairings come out negative.
+        {"t_values": [1e-20, 1e-21, 1e-22], "runge_order": 16},
     ],
 )
 def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
@@ -219,6 +219,24 @@ def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
     assert summary["verdict"] == "undefined"
     first = summary["t_values"][0]
     assert any(line.startswith(f"t={first}: pairing") and "not positive" in line for line in summary["failures"])
+
+
+def test_runge_certifies_the_pairing_at_t_1e_20(tmp_path, capsys):
+    # The fit matches the ball's Taylor coefficients directly, so at the
+    # default order 32 it still resolves a ball of radius 5e-21: the
+    # pairing is within its certified bound, and that bound is below 1.
+    # The two smaller t still miss 2 pi / t by more than the check allows.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"t_values": [1e-20, 1e-21, 1e-22]}))
+    out = tmp_path / "out"
+    assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
+    assert "Traceback" not in capsys.readouterr().err
+    first = next(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+    assert float(first["N_or_t"]) == 1e-20
+    assert 0.0 < float(first["pairing"])
+    assert float(first["rel_err"]) <= float(first["pairing_bound"]) < 1.0
+    summary = json.loads((out / "runge.json").read_text())["summary"]
+    assert not any(line.startswith("t=1e-20") for line in summary["failures"])
 
 
 def test_runge_pairings_do_not_depend_on_the_boundary_radius(tmp_path):

@@ -36,7 +36,7 @@ from nrtlab.indicator import (
     sup_indicator,
     validate_orders,
 )
-from reference import h1_inner, scaled_sequence
+from reference import h1_inner, point_space_runge_fit, scaled_sequence
 
 R = 2.0
 EPS = 1e-3
@@ -395,9 +395,9 @@ def test_runge_fit_builds_no_quadrature_and_calls_no_eigh(monkeypatch):
 
 
 def test_runge_fit_runs_one_recurrence_off_the_fit_points(monkeypatch):
-    # The fit evaluates P only at its 2m fit points and the origin; the
-    # bound's samples on the circle of B come from the fitted values
-    # themselves.  log10_max_g runs one recurrence on r = R when read.
+    # The fit reads P's values on the circle of B, P(0) and p'(0) off its
+    # Taylor coefficients, so it runs no recurrence.  log10_max_g runs one
+    # on r = R when read.
     import nrtlab.indicator
 
     calls = []
@@ -437,33 +437,57 @@ PROBE_ROUTE_DISKS = [
 ]
 
 
-def test_runge_fit_bound_samples_match_the_recurrence():
-    # P is a trigonometric polynomial of degree <= N < m / 2 on the circle
-    # of B, so zero-padding the FFT of its m fitted samples to 4m points
-    # must give what the Arnoldi recurrence gives at those points.  The
-    # fit's kept polynomial gives log10_max_g as the recurrence on r = R.
-    from nrtlab.indicator import _arnoldi, _arnoldi_real_part
+def test_runge_fit_bound_samples_match_the_recurrence(monkeypatch):
+    # The bound's 4m samples on the circle of B come from one inverse FFT
+    # of P's coefficients about 0; H's recurrence evaluates the same P at
+    # those points.  log10_max_g is that recurrence on r = R.
+    from nrtlab.indicator import _arnoldi_real_part
 
+    samples = []
+    irfft = np.fft.irfft
+
+    def keeping(*args, **kwargs):
+        samples.append(irfft(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(np.fft, "irfft", keeping)
     worst = 0.0
     for center, rho, order in BOUND_DISKS + PROBE_ROUTE_DISKS:
         for t in (0.5, 0.25, 0.125):
+            samples.clear()
             fit = runge_fit(t, DiskRegion(center, rho), R, order)
+            (on_fine,) = samples
             m = 4 * order + 16
-            circle = np.exp(2j * np.pi * np.arange(m) / m)
-            z = np.concatenate([complex(*center) + rho * circle, 0.5 * t * circle])
-            Q, H = _arnoldi(z, order)
-            A = np.concatenate([Q.real, -Q[1:].imag]).T
-            x = np.linalg.lstsq(A, np.log(np.abs(z - t)), rcond=None)[0]
-            coeff = x[: order + 1] + 1j * np.concatenate([[0.0], x[order + 1 :]])
-            padded = np.fft.irfft(np.fft.rfft((A @ x)[m:]), 4 * m) * 4.0
             fine = 0.5 * t * np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
-            values, exponent = _arnoldi_real_part(H, coeff, fine)
-            worst = max(worst, float(np.max(np.abs(padded - np.ldexp(values, exponent)))))
-            bound = 8.0 / np.pi * float(np.max(np.abs(padded - np.log(np.abs(fine - t)))))
-            assert fit.pairing_bound == bound
-            values, exponent = _arnoldi_real_part(H, coeff, R * circle)
+            values, exponent = _arnoldi_real_part(fit.H, fit.coeff, fine)
+            worst = max(worst, float(np.max(np.abs(on_fine - np.ldexp(values, exponent)))))
+            assert fit.pairing_bound == 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
+            circle = np.exp(2j * np.pi * np.arange(m) / m)
+            values, exponent = _arnoldi_real_part(fit.H, fit.coeff, R * circle)
             assert fit.log10_max_g == exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
     assert worst <= 1e-10
+
+
+def test_runge_fit_matches_the_point_space_reference():
+    # On each circle the m-point trapezoid rule is exact for the products
+    # of two polynomials of degree <= N, so the fit on Taylor coefficients
+    # is the fit on the 2m sample points up to rounding: the same
+    # Hessenberg matrix, the same rank, pairing, residual and bound.
+    worst = {"pairing": 0.0, "residual": 0.0, "bound": 0.0, "H": 0.0}
+    for center, rho, order in BOUND_DISKS + PROBE_ROUTE_DISKS:
+        for t in (0.5, 0.25, 0.125):
+            region = DiskRegion(center, rho)
+            fit = runge_fit(t, region, R, order)
+            ref = point_space_runge_fit(t, region, order)
+            assert fit.n_retained == ref.n_retained
+            worst["pairing"] = max(worst["pairing"], abs(fit.dx_p0 - ref.dx_p0) / abs(ref.dx_p0))
+            worst["residual"] = max(worst["residual"], abs(fit.residual - ref.residual))
+            worst["bound"] = max(worst["bound"], abs(fit.pairing_bound - ref.pairing_bound))
+            worst["H"] = max(worst["H"], float(np.linalg.norm(fit.H - ref.H) / np.linalg.norm(ref.H)))
+    assert worst["pairing"] <= 1e-9, worst
+    assert worst["residual"] <= 1e-10, worst
+    assert worst["bound"] <= 1e-9, worst
+    assert worst["H"] <= 1e-13, worst
 
 
 def test_runge_fit_keeps_modes_up_to_one():
