@@ -30,6 +30,7 @@ values.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,8 +59,9 @@ MAX_SWEEP_ORDER = 1024
 # Largest cutoff order a Runge fit accepts.  The fit carries N + 1 Taylor
 # coefficients per circle, so its arrays grow like N^2 and its time like
 # N^3 (N Arnoldi steps on rows of 2(N + 1) coefficients against up to
-# N + 1 rows, and a (4N + 2) x (2N + 1) least-squares solve); E_t's FFT
-# and the bound take m = 4N + 16 and 4m samples.  The cap bounds both.
+# N + 1 rows; the least squares then costs O(N^2) through the orthonormal
+# basis); E_t's FFT and the bound take m = 4N + 16 and 4m samples.  The
+# cap bounds both.
 MAX_RUNGE_ORDER = 96
 # blow_up_diagnostic's bars on the fitted slope of log(value) and its R^2.
 BLOW_UP_SLOPE = 0.8
@@ -468,7 +470,9 @@ class RungeFit:
     misfit of P against E_t over G and B, norm_on_G and zg_norm_on_G the
     H1(G) norms of E_t and of P.  pairing_bound bounds the relative error
     of l(g) against 2 pi / t.  n_retained is the rank of the
-    least-squares matrix, out of 2 order + 1 columns.
+    least-squares matrix under lstsq's rule, out of 2 order + 1 columns:
+    its 2 order - 2 singular values equal to 1 and those of its other
+    three that the rule keeps (see _least_squares).
     """
 
     t: float
@@ -500,8 +504,7 @@ class RungeFit:
         equispaced points of r = R; powers of two carry the scale, so the
         log stays finite where P itself would overflow.
         """
-        m = 4 * self.order + 16
-        circle = np.exp(2j * np.pi * np.arange(m) / m)
+        circle = _bound_circle(self.order)[::4]
         values, exponent = _arnoldi_real_part(self.H, self.coeff, self.boundary_radius * circle)
         return exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
 
@@ -572,17 +575,87 @@ def _arnoldi_real_part(H: np.ndarray, coeff: np.ndarray, z: np.ndarray) -> tuple
     return ((coeff * np.ldexp(1.0, e - top)) @ S).real, top
 
 
-def _h1_norm_sq(coeffs: np.ndarray, rho: float) -> np.ndarray:
-    """Squared H1 norm on disk(c, rho) of the harmonic functions with traces Re sum_n coeffs[n] e^{in theta}.
+def _least_squares(Q: np.ndarray, target: np.ndarray, rcond: float) -> tuple[np.ndarray, int]:
+    """runge_fit's real least squares through the orthonormality of Q, as (coeff, rank).
 
-    coeffs[..., 0] must be real.  With a_n, b_n the trace's cosine and
-    sine coefficients, a_0 = coeffs[0] and a_n^2 + b_n^2 = |coeffs[n]|^2,
+    Q is _arnoldi_taylor's basis with each column weighted by its mode's
+    share of the sum of squares (1 for mode 0, sqrt(1/2) above), and
+    target holds E_t's coefficients, weighted alike.  The unknowns x are
+    the real and imaginary parts of coeff, less Im coeff[0] since
+    Im q_0 = 0; the residuals are the real and imaginary parts of
+    coeff @ Q - target, less the imaginary parts of the two mode-0
+    entries.  Both are kept as complex arrays, so the (4N + 2) x (2N + 1)
+    real matrix A is never formed: A x is coeff @ Q with those imaginary
+    parts dropped and A^T r is conj(Q) @ r, O(N^2) each.
+
+    Q Q^H = 2I makes A nearly an isometry: A^T A = I + (u_G u_G^T -
+    v_G v_G^T + u_B u_B^T - v_B v_B^T) / 2 for the real forms u, v of
+    Re A_0 and Im A_0 on each circle.  Since q_0 = 1, the two mode-0
+    columns of Q sum to 2 e_0, so u and v span Z = {e_0, z, i z} with
+    z = conj(Q[:, 0] - Q[:, 1]) / |.|, and A maps these three to orthogonal
+    images of norms sqrt(2), sqrt(1 + s) and sqrt(1 - s), s =
+    |Q[:, 0] - Q[:, 1]|^2 / 4.  Every other singular value of A is 1.  So
+    x = (I - Z Z^T) A^T r + sum_j z_j <A z_j, r> / |A z_j|^2 over the z_j
+    that lstsq's rank rule sigma > rcond sigma_max keeps (only i z can
+    fall below it), and rank counts the 2N - 2 unit singular values and
+    the kept ones, as lstsq's rank of A would.
+
+    Q is orthonormal only to about 1e-15, which a small |A i z| amplifies,
+    so iterative refinement with the same operator follows, stopping once
+    an update is at rounding level, after at most three steps: with two,
+    the misfit can still differ from lstsq's by 2e-10, with three by 2e-12.
+    """
+    width = Q.shape[0]
+    Z = np.zeros((3, width), dtype=complex)
+    Z[0, 0] = 1.0
+    Z[1] = (Q[:, 0] - Q[:, 1]).conj()
+    Z[1] /= math.sqrt(np.vdot(Z[1], Z[1]).real)
+    Z[2] = 1j * Z[1]
+    image = Z @ Q
+    image[:, :2].imag = 0.0
+    norm_sq = np.sum(image.real**2 + image.imag**2, axis=1)
+    keep = norm_sq > rcond * rcond * norm_sq.max()
+    gain = np.divide(1.0, norm_sq, out=np.zeros(3), where=keep)
+    image_h, Z_h, adjoint = image.conj(), Z.conj(), Q.conj()
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        g = adjoint @ r
+        return g + ((image_h @ r).real * gain - (Z_h @ g).real) @ Z
+
+    coeff = solve(target)
+    for _ in range(3):
+        fitted = coeff @ Q
+        fitted[:2].imag = 0.0
+        update = solve(target - fitted)
+        coeff += update
+        if np.abs(update).max() <= np.finfo(float).eps * np.abs(coeff).max():
+            break
+    return coeff, 2 * width - 4 + int(np.count_nonzero(keep))
+
+
+def _h1_weights(rho: float, size: int) -> np.ndarray:
+    """Weights w_n with ||h||^2_{H1(disk(c, rho))} = sum_n w_n |coeffs[n]|^2 (see runge_fit).
+
+    For the harmonic h with trace Re sum_n coeffs[n] e^{in theta} and
+    coeffs[0] real, a_0 = coeffs[0] and a_n^2 + b_n^2 = |coeffs[n]|^2 for
+    the trace's cosine and sine coefficients, and
     ||h||^2 = pi rho^2 a_0^2 + pi sum_{n>=1} (a_n^2 + b_n^2)(n + rho^2 / (2 (n + 1))).
     """
-    n = np.arange(coeffs.shape[-1])
+    n = np.arange(size)
     weight = np.pi * (n + rho * rho / (2.0 * (n + 1.0)))
     weight[0] = np.pi * rho * rho
-    return np.abs(coeffs) ** 2 @ weight
+    return weight
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_circle(order: int) -> np.ndarray:
+    # The 4m = 16N + 64 points of the unit circle on which a fit at order N
+    # takes its bound.  Every fourth one gives the m-point circle of E_t's
+    # samples and log10_max_g, as the same floats as exp(2 pi i k / m).
+    # One read-only array per order: 25.6 KB at the largest, 1.3 MB for all.
+    circle = np.exp(2j * np.pi * np.arange(16 * order + 64) / (16 * order + 64))
+    circle.flags.writeable = False
+    return circle
 
 
 def runge_fit(
@@ -608,8 +681,10 @@ def runge_fit(
     e_n, is a (4N + 2) x (2N + 1) least-squares problem instead of
     2m x (2N + 1).
     Its singular values are those of the point-space matrix over sqrt(m),
-    so rcond = eps 2m keeps that matrix's rank rule.  m itself only sets
-    E_t's FFT and the 4m bound samples.
+    so rcond = eps 2m keeps that matrix's rank rule.  The basis is
+    orthonormal, so all but three of them are 1 and _least_squares solves
+    it in O(N^2) through Q, without forming the matrix.  m itself only
+    sets E_t's FFT and the 4m bound samples.
 
     t e1 lies outside both closed disks, so P - E_t is harmonic on each
     and its boundary coefficients control it: they give the H1 norms, and
@@ -646,30 +721,19 @@ def runge_fit(
     ball = DiskRegion((0.0, 0.0), 0.5 * t)
     width = order + 1
     m = 4 * order + 16
-    circle = np.exp(2j * np.pi * np.arange(m) / m)
+    fine_circle = _bound_circle(order)
+    circle = fine_circle[::4]
     z = np.stack([complex(*cavity.center) + cavity.radius * circle, ball.radius * circle])
     # E_t = Re sum_n e_n w^n on each circle, for the modes n < m / 2 the samples resolve.
     probe = np.fft.rfft(np.log(np.abs(z - t)), axis=-1)[:, : m // 2] / m
     probe[:, 1:] *= 2.0
 
     Q, H = _arnoldi_taylor(complex(*cavity.center), cavity.radius, ball.radius, order)
-    # Column j of M holds the coefficients of q_j, each mode's row weighted
-    # by its share of the sum of squares.  P = sum_k a_k Re q_k - b_k Im q_k
-    # for coefficients a_k + i b_k, and Im q_0 = 0, so b_0 has no column.
-    # Re A_0 of each circle gives one row, Re and Im A_n, n >= 1, two.
+    # Each mode's entry is weighted by its share of the sum of squares:
+    # Re A_0 of each circle gives one row, Re and Im A_n, n >= 1, two of weight 1/2.
     scale = np.full(2 * width, math.sqrt(0.5))
     scale[:2] = 1.0
-    M = Q.T * scale[:, None]
-    A = np.concatenate(
-        [
-            np.concatenate([M.real, -M[:, 1:].imag], axis=1),
-            np.concatenate([M[2:].imag, M[2:, 1:].real], axis=1),
-        ]
-    )
-    target = probe[:, :width].T.ravel() * scale
-    rhs = np.concatenate([target.real, target[2:].imag])
-    x, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=np.finfo(float).eps * 2 * m)
-    coeff = x[:width] + 1j * np.concatenate([[0.0], x[width:]])
+    coeff, rank = _least_squares(Q * scale, probe[:, :width].T.ravel() * scale, np.finfo(float).eps * 2 * m)
 
     # P's coefficients A_n about the center and B_n about 0; P = Re p, so
     # only the real parts of A_0 and B_0 are P's.
@@ -677,11 +741,13 @@ def runge_fit(
     fitted[:, 0] = fitted[:, 0].real
     misfit = probe.copy()
     misfit[:, :width] -= fitted
-    residual = math.sqrt(_h1_norm_sq(misfit[0], cavity.radius) + _h1_norm_sq(misfit[1], ball.radius))
-    zg_norm_on_G = math.sqrt(_h1_norm_sq(fitted[0], cavity.radius))
-    norm_on_G = math.sqrt(_h1_norm_sq(probe[0], cavity.radius))
+    on_G = _h1_weights(cavity.radius, m // 2)
+    on_B = _h1_weights(ball.radius, m // 2)
+    residual = math.sqrt(np.abs(misfit[0]) ** 2 @ on_G + np.abs(misfit[1]) ** 2 @ on_B)
+    zg_norm_on_G = math.sqrt(np.abs(fitted[0]) ** 2 @ on_G[:width])
+    norm_on_G = math.sqrt(np.abs(probe[0]) ** 2 @ on_G)
 
-    fine = ball.radius * np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
+    fine = ball.radius * fine_circle
     # Unscaled, irfft sums X_0 + 2 Re sum_n X_n e^{in theta}, so X_n = B_n / 2 for n >= 1.
     on_fine = np.fft.irfft(np.concatenate([fitted[1, :1], 0.5 * fitted[1, 1:]]), 4 * m, norm="forward")
     pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))

@@ -205,6 +205,8 @@ def test_runge_fit_out_of_float_range_is_config_error(tmp_path, capsys, config):
     [
         # At order 16 the fit cannot resolve a ball of radius 5e-21, and its pairings come out negative.
         {"t_values": [1e-20, 1e-21, 1e-22], "runge_order": 16},
+        # At order 1 the fit is far too coarse for every default t.
+        {"runge_order": 1},
     ],
 )
 def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):

@@ -394,6 +394,50 @@ def test_runge_fit_builds_no_quadrature_and_calls_no_eigh(monkeypatch):
     assert fit.n_retained == 2 * 16 + 1
 
 
+def test_runge_fit_calls_no_lstsq(monkeypatch):
+    # The least squares runs through the orthonormal basis, not gelsd,
+    # also where the rank rule drops a column and at the lowest order.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the boundary fit must not reach this")
+
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    for t, order, rank in ((0.5, 1, 3), (0.5, 16, 33), (1e-6, 64, 128)):
+        assert runge_fit(t, DiskRegion((1.3, 0.0), 0.25), R, order).n_retained == rank
+
+
+@pytest.mark.parametrize("order,bound", [(1, 2.05), (2, 1.27), (3, 1.09)])
+def test_runge_fit_at_the_lowest_orders(order, bound):
+    # With 2N + 1 <= 3 unknowns at N = 1, the three directions where the
+    # least-squares matrix is not an isometry span every column.  The
+    # bounds certify nothing there but are still reported.
+    region = DiskRegion((1.3, 0.0), 0.25)
+    fit = runge_fit(0.5, region, R, order)
+    ref = point_space_runge_fit(0.5, region, order)
+    assert fit.n_retained == ref.n_retained == 2 * order + 1
+    assert abs(fit.pairing_bound - bound) <= 0.005
+    assert_allclose(fit.pairing_bound, ref.pairing_bound, rtol=1e-12)
+    assert_allclose(fit.dx_p0, ref.dx_p0, rtol=1e-12)
+    assert_allclose(fit.residual, ref.residual, rtol=1e-12)
+
+
+@pytest.mark.parametrize("center,rho,t,order", [((1.3, 0.0), 0.25, 0.5, 16), ((1.3, 0.0), 0.25, 1e-6, 64), ((0.8, 0.6), 0.3, 1e-3, 96)])
+def test_runge_least_squares_is_an_isometry_off_three_directions(center, rho, t, order):
+    # The real (4N + 2) x (2N + 1) matrix of the fit, formed here column by
+    # column, has 2N - 2 unit singular values and sqrt(2), sqrt(1 + s),
+    # sqrt(1 - s) for s = |Q[:, 0] - Q[:, 1]|^2 / 4: Q Q^H = 2I and q_0 = 1.
+    from nrtlab.indicator import _arnoldi_taylor
+
+    Q, _ = _arnoldi_taylor(complex(*center), rho, 0.5 * t, order)
+    scale = np.full(2 * (order + 1), math.sqrt(0.5))
+    scale[:2] = 1.0
+    M = Q.T * scale[:, None]
+    A = np.concatenate([np.concatenate([M.real, -M[:, 1:].imag], axis=1), np.concatenate([M[2:].imag, M[2:, 1:].real], axis=1)])
+    s = float(np.sum(np.abs(Q[:, 0] - Q[:, 1]) ** 2)) / 4.0
+    closed = np.sort(np.concatenate([np.ones(2 * order - 2), np.sqrt([2.0, 1.0 + s, max(1.0 - s, 0.0)])]))
+    assert_allclose(np.sort(np.linalg.svd(A, compute_uv=False)), closed, rtol=0.0, atol=1e-13)
+    assert_allclose(Q[:, 0] + Q[:, 1], 2.0 * np.eye(order + 1)[0], rtol=0.0, atol=1e-14)
+
+
 def test_runge_fit_runs_one_recurrence_off_the_fit_points(monkeypatch):
     # The fit reads P's values on the circle of B, P(0) and p'(0) off its
     # Taylor coefficients, so it runs no recurrence.  log10_max_g runs one
@@ -435,6 +479,10 @@ PROBE_ROUTE_DISKS = [
     ((-1.559798252367089, 0.4858292234646851), 0.25508638101690373, 64),
     ((-1.0884135738185896, -0.9895461712557766), 0.15757987073229116, 64),
 ]
+# Fits where lstsq's rank rule drops one of the 2N + 1 columns.
+RANK_DEFICIENT = [((1.3, 0.0), 0.25, order, t) for order in range(32, 97, 8) for t in (1e-3, 1e-6)] + [
+    ((0.8, 0.6), 0.3, order, 1e-3) for order in range(48, 97, 8)
+]
 
 
 def test_runge_fit_bound_samples_match_the_recurrence(monkeypatch):
@@ -473,16 +521,23 @@ def test_runge_fit_matches_the_point_space_reference():
     # of two polynomials of degree <= N, so the fit on Taylor coefficients
     # is the fit on the 2m sample points up to rounding: the same
     # Hessenberg matrix, the same rank, pairing, residual and bound.
+    # The rank-deficient fits keep 2N columns, through the rank rule on
+    # the one small singular value.  Their balls are far smaller, and the
+    # two Hessenberg matrices agree there only to about 3e-12, so H is
+    # compared on the reference fits alone.
     worst = {"pairing": 0.0, "residual": 0.0, "bound": 0.0, "H": 0.0}
-    for center, rho, order in BOUND_DISKS + PROBE_ROUTE_DISKS:
-        for t in (0.5, 0.25, 0.125):
-            region = DiskRegion(center, rho)
-            fit = runge_fit(t, region, R, order)
-            ref = point_space_runge_fit(t, region, order)
-            assert fit.n_retained == ref.n_retained
-            worst["pairing"] = max(worst["pairing"], abs(fit.dx_p0 - ref.dx_p0) / abs(ref.dx_p0))
-            worst["residual"] = max(worst["residual"], abs(fit.residual - ref.residual))
-            worst["bound"] = max(worst["bound"], abs(fit.pairing_bound - ref.pairing_bound))
+    reference_fits = [(c, rho, order, t) for c, rho, order in BOUND_DISKS + PROBE_ROUTE_DISKS for t in (0.5, 0.25, 0.125)]
+    for center, rho, order, t in reference_fits + RANK_DEFICIENT:
+        region = DiskRegion(center, rho)
+        fit = runge_fit(t, region, R, order)
+        ref = point_space_runge_fit(t, region, order)
+        assert fit.n_retained == ref.n_retained
+        worst["pairing"] = max(worst["pairing"], abs(fit.dx_p0 - ref.dx_p0) / abs(ref.dx_p0))
+        worst["residual"] = max(worst["residual"], abs(fit.residual - ref.residual))
+        worst["bound"] = max(worst["bound"], abs(fit.pairing_bound - ref.pairing_bound))
+        if (center, rho, order, t) in RANK_DEFICIENT:
+            assert ref.n_retained == 2 * order
+        else:
             worst["H"] = max(worst["H"], float(np.linalg.norm(fit.H - ref.H) / np.linalg.norm(ref.H)))
     assert worst["pairing"] <= 1e-9, worst
     assert worst["residual"] <= 1e-10, worst
