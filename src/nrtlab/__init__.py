@@ -10,8 +10,8 @@ the underlying kernels.
 
 from .checks import (
     EnclosureSample,
-    EnclosureSweep,
     SignField,
+    enclosure_bound,
     enclosure_closed_form,
     enclosure_indicator,
     enclosure_sweep,
@@ -58,7 +58,6 @@ __all__ = [
     "BoundaryData",
     "DiskRegion",
     "EnclosureSample",
-    "EnclosureSweep",
     "GramConditioningError",
     "GramSystem",
     "HarmonicSeries",
@@ -76,6 +75,7 @@ __all__ = [
     "boundary_pairing",
     "build_disk_quadrature",
     "dirichlet_disk_solve",
+    "enclosure_bound",
     "enclosure_closed_form",
     "enclosure_indicator",
     "enclosure_sweep",

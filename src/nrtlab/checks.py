@@ -9,18 +9,19 @@ Three independent consistency routes for the cavity measurement:
   set is the circle of radius sqrt(2) y3 and whose indefiniteness on a
   fixed patch persists as y3 -> 0;
 * the enclosure-method indicator with complex exponential probes,
-  which admits the closed form -2 pi tau e^{-i phi} and whose
-  normalized log modulus decays like log(2 pi tau) / tau.
+  which admits the closed form -2 pi tau e^{-i phi}, so its normalized
+  log modulus decays like log(2 pi tau) / tau.
 
 The enclosure integral lives on r = R, where the probe reaches
 e^{tau R} while the answer has size 2 pi tau.  Green's identity moves
 it to the circle r = min(1, 1/tau), where the probe stays below e, so
-one fixed 64-node trapezoid rule in float64 gives it to rounding for
-every tau up to MAX_TAU.
+one fixed 64-node trapezoid rule in float64 gives it for every tau up
+to MAX_TAU within the a priori rounding bound of enclosure_bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,8 @@ ENCLOSURE_NODES = 64
 # which would overflow near tau = 1e154; the cap keeps every sweep far
 # inside that range.
 MAX_TAU = 1e6
-# Stated relative error bound of one enclosure sample against the
-# closed form (4.2e-16 is the largest seen over tau in [1e-8, MAX_TAU]).
-ENCLOSURE_SAMPLE_RTOL = 1e-15
+# Rounding steps in the enclosure_bound derivation, in units of u rho_tau.
+ENCLOSURE_KAPPA = 52
 # Polar sample grid of the sign-indefiniteness certificate on its patch.
 CERTIFICATE_RADII = 48
 CERTIFICATE_ANGLES = 64
@@ -206,20 +206,15 @@ def required_enclosure_order(tau: float, boundary_radius: float) -> int:
 
 
 def validate_taus(tau_list) -> list[float]:
-    """Probe frequencies as floats, checked to be an enclosure sweep's grid.
-
-    The grid must hold at least four (the decay fit has three
-    parameters) strictly increasing frequencies in (0, MAX_TAU]; anything
-    else, including a non-finite entry, raises ValueError.
-    """
+    """Probe frequencies as floats: a nonempty, strictly increasing list in [tiny, MAX_TAU], else ValueError."""
     try:
         taus = [float(v) for v in tau_list]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"frequencies must be a list of numbers, got {tau_list!r}") from exc
-    if len(taus) < 4:
-        raise ValueError(f"an enclosure sweep needs at least 4 frequencies for the decay fit, got {len(taus)}")
-    if not all(0.0 < v <= MAX_TAU for v in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError(f"frequencies must be strictly increasing and in (0, {MAX_TAU:g}], got {taus}")
+    # The smallest normal float64: below it tau e^(-i phi) loses bits that enclosure_bound does not count.
+    tiny = np.finfo(float).tiny
+    if not taus or not all(tiny <= v <= MAX_TAU for v in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"frequencies must be a nonempty, strictly increasing list in [{tiny:g}, {MAX_TAU:g}], got {taus}")
     return taus
 
 
@@ -276,50 +271,37 @@ class EnclosureSample:
         return float(np.log(self.modulus) / self.tau)
 
 
-@dataclass(frozen=True)
-class EnclosureSweep:
-    """Samples over increasing tau with the extrapolated decay limit.
+def enclosure_bound(tau: float, boundary_radius: float) -> float:
+    """A priori bound on the relative error of enclosure_indicator against its closed form.
 
-    fitted_limit is the constant term of a least-squares fit of
-    (1/tau) log|I_tau| against the decay shape
-    h + a log(tau)/tau + b/tau, which strips the known slow logarithmic
-    transient and exposes the tau -> infinity limit.
+    beta = kappa u max(1, rho), u = 2^-53, kappa = ENCLOSURE_KAPPA, with
+    rho = eta (|w_r| expm1(x) + |w| tau e^x) / tau and x = tau eta <= 1:
+    each of the 64 terms is at most M = |w_r| expm1(x) + |w| tau e^x in
+    modulus, and 2 pi eta M = rho |I_tau| < (2e - 1) |I_tau|.  As I = -2 pi a
+    on every circle r = eta < R for every complex a, the rounded eta and a
+    are exact inputs.  To first order, with each operation and libm call
+    within u, a complex product within sqrt(5) u, and x e^x / expm1(x)
+    <= e / (e - 1), kappa = 10 + 37 + 5 counts
+      10  the pairwise sum: eight running sums of eight, then a 3-level tree;
+      37  per term, in units of u M: w_r 3; w 3.2 (its error stays below
+          2 u |w_r| x e^x where it cancels); z 5.3 ((1 + sqrt 5) u |z|,
+          times e^x); exp or expm1 1; the products and difference 7.6; the
+          nodes 16 (fl(2 pi k) / 64 and e^(i theta) move theta_k by 5.2 u
+          on average, against a theta-derivative below 3 M);
+       5  in units of u |I_tau|: a, the scale 2 pi eta / 64 and its
+          product, and the closed form's two products (np.pi cancels).
+    The aliasing error, below 1/63!, falls under one rounding.
     """
-
-    samples: tuple[EnclosureSample, ...]
-    fitted_limit: float
-
-
-def _log_over_tau_error(sample: EnclosureSample) -> float:
-    # A relative error r on I_tau moves log|I_tau| by at most r; the
-    # log and the division by tau round once each.
-    return ENCLOSURE_SAMPLE_RTOL / sample.tau + 2.0 * np.finfo(float).eps * abs(sample.log_over_tau)
+    R = float(boundary_radius)
+    eta = min(1.0, 1.0 / tau)
+    x = tau * eta
+    w_r = 1.0 / eta**2 + 1.0 / R / R
+    w = abs(1.0 / eta - eta / R / R)
+    rho = eta * (w_r * math.expm1(x) + w * tau * math.exp(x)) / tau
+    return ENCLOSURE_KAPPA * 2.0**-53 * max(1.0, rho)
 
 
-def enclosure_sweep(tau_list, phi: float, boundary_radius: float) -> EnclosureSweep:
-    """Evaluate the enclosure indicator along increasing probe frequencies.
-
-    Needs at least four frequencies (the decay fit has three
-    parameters).  The normalized log modulus is checked to decrease
-    over the tau >= 3 portion, which the closed form guarantees; a rise
-    beyond the two samples' error bounds means the quadrature failed
-    and raises.  A difference inside them is a tie: frequencies one
-    rounding apart have log moduli that float64 cannot order.
-    """
+def enclosure_sweep(tau_list, phi: float, boundary_radius: float) -> tuple[EnclosureSample, ...]:
+    """Enclosure samples at the given probe frequencies, in order."""
     taus = validate_taus(tau_list)
-    samples = [
-        EnclosureSample(tau=tau, phi=float(phi), value=enclosure_indicator(tau, phi, boundary_radius))
-        for tau in taus
-    ]
-
-    decay = [s for s in samples if s.tau >= 3.0]
-    if any(b.log_over_tau - a.log_over_tau > _log_over_tau_error(a) + _log_over_tau_error(b) for a, b in zip(decay, decay[1:])):
-        raise RuntimeError(
-            f"normalized log modulus failed to decrease over tau >= 3: {[s.log_over_tau for s in decay]}; "
-            f"the oscillatory quadrature is unreliable"
-        )
-    tau_arr = np.array([s.tau for s in samples])
-    y = np.array([s.log_over_tau for s in samples])
-    design = np.column_stack([np.ones_like(tau_arr), np.log(tau_arr) / tau_arr, 1.0 / tau_arr])
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return EnclosureSweep(samples=tuple(samples), fitted_limit=float(sol[0]))
+    return tuple(EnclosureSample(tau, float(phi), enclosure_indicator(tau, phi, boundary_radius)) for tau in taus)

@@ -47,13 +47,13 @@ class DiskRegion:
     radius: float
 
     def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
+        cx, cy, radius = float(self.center[0]), float(self.center[1]), float(self.radius)
+        if not np.isfinite(radius) or radius <= 0.0:
             raise ValueError(f"disk radius must be positive, got {self.radius}")
-        cx, cy = float(self.center[0]), float(self.center[1])
         if not (np.isfinite(cx) and np.isfinite(cy)):
             raise ValueError(f"disk center must be finite, got {self.center}")
         object.__setattr__(self, "center", (cx, cy))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
     def classify_origin(self, tol: float = BOUNDARY_RTOL) -> OriginLocation:
         """Classify the origin as inside, outside or on the boundary circle.

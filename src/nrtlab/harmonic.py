@@ -249,10 +249,11 @@ def boundary_pairing(w_trace: BoundaryData, data: BoundaryData, boundary_radius:
         raise ValueError(f"ambient radius must be positive, got {boundary_radius}")
     R = boundary_radius
     order = min(w_trace.max_order, data.max_order)
-    total = 2.0 * np.pi * R * w_trace.cos_coeff[0] * data.cos_coeff[0]
+    # R goes in last: w_n falls like R^(-n-1), so 2 pi R first would overflow near the float64 maximum.
+    total = 2.0 * np.pi * (R * (w_trace.cos_coeff[0] * data.cos_coeff[0]))
     if order >= 1:
-        total += np.pi * R * float(
+        total += np.pi * (R * float(
             w_trace.cos_coeff[1 : order + 1] @ data.cos_coeff[1 : order + 1]
             + w_trace.sin_coeff[1 : order + 1] @ data.sin_coeff[1 : order + 1]
-        )
+        ))
     return float(total)

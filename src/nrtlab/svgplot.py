@@ -70,8 +70,8 @@ class _Canvas:
 def _axis_transform(lo: float, hi: float, log: bool):
     if log:
         lo, hi = np.log10(lo), np.log10(hi)
-    if hi <= lo:
-        hi = lo + 1.0
+    if hi <= lo:  # one point: a unit span, or |lo| where lo + 1 would round back to lo
+        hi = lo + max(1.0, abs(lo))
     span = hi - lo
 
     def to_unit(v):

@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 from nrtlab import checks
 from nrtlab.checks import (
     ENCLOSURE_NODES,
-    ENCLOSURE_SAMPLE_RTOL,
     MAX_TAU,
+    enclosure_bound,
     enclosure_closed_form,
     enclosure_indicator,
     enclosure_sweep,
@@ -211,44 +211,71 @@ def test_enclosure_validation():
         enclosure_indicator(1.0, 0.0, 0.5)
 
 
-def test_enclosure_sweep_decay_and_fit():
-    sweep = enclosure_sweep([1.0, 10.0, 20.0, 50.0, 100.0], 0.0, R)
-    decay = [s.log_over_tau for s in sweep.samples]
+def test_enclosure_sweep_samples_stay_within_their_bound_of_the_decay():
+    # |I_tau| = 2 pi tau (1 +- beta) puts (1/tau) log|I_tau| within
+    # beta / tau of log(2 pi tau) / tau, plus the rounding of the log and
+    # of the division by tau.
+    eps = np.finfo(float).eps
+    samples = enclosure_sweep([1.0, 10.0, 20.0, 50.0, 100.0], 0.0, R)
+    assert isinstance(samples, tuple) and [s.tau for s in samples] == [1.0, 10.0, 20.0, 50.0, 100.0]
+    for sample in samples:
+        exact = np.log(2.0 * np.pi * sample.tau) / sample.tau
+        slack = (enclosure_bound(sample.tau, R) + 2.0 * eps) / sample.tau + 2.0 * eps * abs(exact)
+        assert abs(sample.log_over_tau - exact) <= slack
+    decay = [s.log_over_tau for s in samples]
     assert all(b < a for a, b in zip(decay, decay[1:]))
-    # Raw closed-form values log(2 pi tau) / tau at each frequency.
-    for sample in sweep.samples:
-        assert_allclose(sample.log_over_tau, np.log(2.0 * np.pi * sample.tau) / sample.tau, rtol=1e-10)
-    assert abs(sweep.fitted_limit) <= 1e-8
-    assert sweep.fitted_limit <= 0.05
 
 
-def test_enclosure_sweep_ties_at_rounding_level_but_not_above(monkeypatch):
-    # tau = 3 and the next float give log|I|/tau values float64 cannot
-    # order; that is a tie, not a failed quadrature.
-    taus = [1.0, 2.0, 3.0, np.nextafter(3.0, 4.0)]
-    for phi in (0.0, 0.7, 2.5):
-        assert abs(enclosure_sweep(taus, phi, R).fitted_limit) <= 1e-14
-    # An error of ENCLOSURE_SAMPLE_RTOL on the last sample makes its
-    # value rise, but inside the stated bound; 1e-12 is far outside it.
-    exact = checks.enclosure_indicator
-    for rel, raises in ((ENCLOSURE_SAMPLE_RTOL, False), (1e-12, True)):
-        monkeypatch.setattr(checks, "enclosure_indicator", lambda tau, phi, r: exact(tau, phi, r) * (1.0 + rel * (tau > 3.0)))
-        if raises:
-            with pytest.raises(RuntimeError):
-                enclosure_sweep(taus, 0.0, R)
-        else:
-            decay = [s.log_over_tau for s in enclosure_sweep(taus, 0.0, R).samples]
-            assert decay[3] > decay[2]
+def enclosure_bound_grid(boundary_radius):
+    """Largest relative error and largest bound over tau in [1e-8, 1e6] at eight phi, with the worst error/bound."""
+    worst_err = worst_bound = worst_share = 0.0
+    for tau in np.geomspace(1e-8, 1e6, 1001).tolist():
+        bound = enclosure_bound(tau, boundary_radius)
+        for phi in np.linspace(-np.pi, np.pi, 8, endpoint=False) + 0.3:
+            closed = enclosure_closed_form(tau, phi)
+            err = abs(enclosure_indicator(tau, phi, boundary_radius) - closed) / abs(closed)
+            worst_err, worst_bound, worst_share = max(worst_err, err), max(worst_bound, bound), max(worst_share, err / bound)
+    return worst_err, worst_bound, worst_share
+
+
+@pytest.mark.parametrize("boundary_radius", [1.0 + 1e-7, 2.0, 1e10, 1e300])
+def test_enclosure_bound_holds_on_a_log_grid(boundary_radius):
+    worst_err, worst_bound, worst_share = enclosure_bound_grid(boundary_radius)
+    assert worst_share <= 1.0
+    # Derived, not padded: the largest bound is within 100x of the largest error seen.
+    assert worst_bound <= 100.0 * worst_err
+    # rho_tau < 2e - 1, so no bound exceeds kappa u (2e - 1).
+    assert worst_bound <= checks.ENCLOSURE_KAPPA * 2.0**-53 * (2.0 * np.e - 1.0) * (1.0 + 1e-15)
+
+
+def test_enclosure_bound_holds_down_to_the_normal_range():
+    # validate_taus stops at the smallest normal float64, where the bound still holds.
+    for tau in np.geomspace(np.finfo(float).tiny, 1e-290, 50).tolist():
+        for phi in (0.0, 0.7, 2.5, -1.3):
+            closed = enclosure_closed_form(tau, phi)
+            assert abs(enclosure_indicator(tau, phi, R) - closed) <= enclosure_bound(tau, R) * abs(closed)
+
+
+def test_enclosure_bound_follows_rho():
+    # rho -> 1 + 1/R^2 + 1 - 1/R^2 = 2 as tau -> 0, and rho = 2e - 1 - 1/(tau R)^2 for tau >= 1.
+    u = 2.0**-53
+    assert enclosure_bound(1e-12, R) == pytest.approx(checks.ENCLOSURE_KAPPA * u * 2.0, rel=1e-6)
+    for tau in (1.0, 7.0, MAX_TAU):
+        rho = 2.0 * np.e - 1.0 - 1.0 / (tau * R) ** 2
+        assert enclosure_bound(tau, R) == pytest.approx(checks.ENCLOSURE_KAPPA * u * rho, rel=1e-14)
 
 
 def test_enclosure_sweep_preconditions():
+    # One frequency is a grid: nothing is fitted across the samples.
+    assert [s.tau for s in enclosure_sweep([7.0], 0.0, R)] == [7.0]
     with pytest.raises(ValueError):
-        enclosure_sweep([1.0, 2.0, 3.0], 0.0, R)
+        enclosure_sweep([], 0.0, R)
     with pytest.raises(ValueError):
         enclosure_sweep([1.0, 3.0, 2.0, 4.0], 0.0, R)
     with pytest.raises(ValueError):
         enclosure_sweep([-1.0, 1.0, 2.0, 3.0], 0.0, R)
-    for bad in ([1.0, 2.0, 3.0, "x"], [1.0, 2.0, 3.0, np.nan], [1.0, 2.0, 3.0, 2.0 * MAX_TAU], 5.0):
+    for bad in ([1.0, 2.0, 3.0, "x"], [1.0, 2.0, 3.0, np.nan], [1.0, 2.0, 3.0, 2.0 * MAX_TAU], 5.0, [5e-324, 1.0]):
         with pytest.raises(ValueError):
             validate_taus(bad)
     assert validate_taus([1, 2, "3", MAX_TAU]) == [1.0, 2.0, 3.0, MAX_TAU]
+    assert validate_taus([np.finfo(float).tiny]) == [np.finfo(float).tiny]

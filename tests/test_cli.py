@@ -14,7 +14,6 @@ import pytest
 
 from nrtlab import cli
 from nrtlab.cli import (
-    ENCLOSURE_RTOL,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
@@ -27,7 +26,8 @@ from nrtlab.cli import (
     MAX_TAU_VALUES,
     main,
 )
-from nrtlab.checks import MAX_TAU
+from nrtlab import checks
+from nrtlab.checks import MAX_TAU, enclosure_bound
 from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER
 
 ALL_COMMANDS = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
@@ -84,7 +84,7 @@ def test_csv_headers(tmp_path):
     assert runge_header == SWEEP_COLUMNS + (
         ",pairing,target,rel_err,pairing_bound,residual,probe_norm_G,zg_norm_G,zg_scaled_norm,log10_max_g"
     )
-    assert (out / "enclosure.csv").read_text().splitlines()[0].startswith("tau,re,im,modulus,log_over_tau")
+    assert (out / "enclosure.csv").read_text().splitlines()[0] == "tau,re,im,modulus,log_over_tau,closed_re,closed_im,rel_err,bound"
     assert (out / "sign-map.csv").read_text().splitlines()[0] == "y3,x1,x2,value"
 
 
@@ -154,6 +154,11 @@ CONFIG_ERRORS = [
     # Inside the ambient disk, but within validate_admissible's 1e-9 R margin.
     ("indicator", {"regions": [{"center": [1.5, 0], "radius": 0.4999999999}]}),
     ("indicator", {"regions": [{"shape": "square", "center": [0, 0], "radius": 1}]}),
+    ("enclosure", {"tau_values": []}),
+    # Subnormal: tau e^(-i phi) would lose bits that the sample's bound does not count.
+    ("enclosure", {"tau_values": [5e-324]}),
+    # An integer radius beyond 64 bits, which numpy's isfinite refuses; far outside the ambient disk.
+    ("indicator", {"regions": [{"center": [0, 0], "radius": 2**64}]}),
 ]
 FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
 
@@ -343,8 +348,20 @@ def test_runs_at_the_caps(tmp_path, command, config):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("config", [{"y3_values": [1e-200]}, {"y3_values": [1e200]}, {"sign_half_width": 1e200}])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"y3_values": [1e-200]},
+        {"y3_values": [1e200]},
+        {"sign_half_width": 1e200},
+        # The kernel's d^5 overflows on the grid; at 1e308 the grid's own span does.
+        {"sign_half_width": 1e100},
+        {"sign_half_width": 1e308},
+    ],
+)
 def test_sign_map_non_finite_kernel_is_config_error(tmp_path, capsys, config):
+    # sign_map runs under a floating-point trap, so the overflow is refused
+    # where it happens instead of leaving nan in the grid or the zero estimate.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -354,30 +371,76 @@ def test_sign_map_non_finite_kernel_is_config_error(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def enclosure_rows(out):
+    return list(csv.DictReader(io.StringIO((out / "enclosure.csv").read_text())))
+
+
 def test_enclosure_tau_tie_at_rounding_level_passes(tmp_path):
-    # 3 and the next float give log|I|/tau values float64 cannot order.
+    # 3 and the next float give log|I|/tau values float64 cannot order;
+    # each sample is checked against its own bound, so nothing has to.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"tau_values": [1, 2, 3, 3.0000000000000004]}))
     out = tmp_path / "out"
     assert main(["enclosure", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    payload = json.loads((out / "enclosure.json").read_text())
-    assert abs(payload["summary"]["fitted_limit"]) <= 1e-14
+    summary = json.loads((out / "enclosure.json").read_text())["summary"]
+    assert "fitted_limit" not in summary and "limit_bar" not in summary
+    assert all(float(row["rel_err"]) <= float(row["bound"]) for row in enclosure_rows(out))
+
+
+# At 4.4e-23 the one chart point has log_over_tau = -1.1e24, where a unit axis span rounds away.
+@pytest.mark.parametrize("tau", [7.0, 4.4288208124554194e-23])
+def test_enclosure_runs_on_a_single_tau(tmp_path, tau):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tau_values": [tau]}))
+    out = tmp_path / "out"
+    assert main(["enclosure", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    (row,) = enclosure_rows(out)
+    assert float(row["tau"]) == tau and float(row["bound"]) == enclosure_bound(tau, 2.0)
+    assert "nan" not in (out / "enclosure.svg").read_text()
+
+
+def test_enclosure_sample_off_by_ten_bounds_fails(tmp_path, monkeypatch, capsys):
+    # One sample scaled by 1 + 10 beta lies at least 9 beta from the closed form.
+    exact = checks.enclosure_indicator
+    bad = 20.0
+
+    def perturbed(tau, phi, boundary_radius):
+        value = exact(tau, phi, boundary_radius)
+        return value * (1.0 + 10.0 * enclosure_bound(tau, boundary_radius)) if tau == bad else value
+
+    monkeypatch.setattr(checks, "enclosure_indicator", perturbed)
+    out = tmp_path / "out"
+    assert main(["enclosure", "--out", str(out)]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.out.splitlines() if line.startswith("  failure:")] == [
+        f"  failure: tau={bad}: quadrature differs from -2 pi tau e^(-i phi) by rel "
+        + f"{float(enclosure_rows(out)[2]['rel_err']):.2e}, above its bound {enclosure_bound(bad, 2.0):.2e}"
+    ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("radius", [1e155, 1e300, sys.float_info.max])
 def test_enclosure_and_indicator_run_at_huge_radius(tmp_path, capsys, radius):
-    # R**2 and R**(n+1) would overflow here; neither subcommand forms them.
+    # R**2, R**(n+1) and 2 pi R would overflow here; no subcommand below forms them.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"enclosure_phi": 0.7}))
     out = tmp_path / "out"
     assert main(["enclosure", "--config", str(config), "--R", repr(radius), "--out", str(out)]) == EXIT_OK
-    rows = list(csv.DictReader(io.StringIO((out / "enclosure.csv").read_text())))
+    rows = enclosure_rows(out)
     assert rows
     for row in rows:
         tau = float(row["tau"])
         closed = -2.0 * np.pi * tau * np.exp(-0.7j)
-        assert abs(complex(float(row["re"]), float(row["im"])) - closed) <= ENCLOSURE_RTOL * abs(closed)
+        bound = enclosure_bound(tau, radius)
+        assert float(row["bound"]) == bound
+        # The row's closed form rounds differently from this one, by a few units of u.
+        assert abs(complex(float(row["re"]), float(row["im"])) - closed) <= (bound + 4e-16) * abs(closed)
+
+    identity = tmp_path / "identity"
+    assert main(["verify-identity", "--R", repr(radius), "--out", str(identity)]) == EXIT_OK
+    summary = json.loads((identity / "verify-identity.json").read_text())["summary"]
+    assert summary["passed"] is True and summary["max_residual"] <= summary["tolerance"]
 
     assert main(["indicator", "--out", str(tmp_path / "at2")]) == EXIT_OK
     assert main(["indicator", "--R", repr(radius), "--out", str(tmp_path / "huge")]) == EXIT_OK

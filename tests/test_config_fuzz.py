@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ FIELDS = [f.name for f in dataclasses.fields(cli.RunConfig)]
 
 # Arbitrary JSON, with the numbers that sit on or beyond the edges of a
 # float64 and of the schema's bounds.
-edge_numbers = st.sampled_from([0, 1, -1, 3, 4, 1.0, 0.5, -0.0, 1e-300, 1e300, 2**64, 10**400, 1e6, 1024, 1025])
+edge_numbers = st.sampled_from(
+    [0, 1, -1, 3, 4, 1.0, 0.5, -0.0, 1e-300, 1e300, sys.float_info.max, 2**64, 10**400, 1e6, 1024, 1025]
+)
 scalars = st.none() | st.booleans() | st.integers() | st.floats() | edge_numbers | st.text(max_size=4)
 json_values = st.recursive(
     scalars,
@@ -115,15 +118,36 @@ runge_runs = st.fixed_dictionaries(
 )
 
 
+SIGN_MAP = ["y3_values", "sign_half_width", "sign_patch_radius"]
+IDENTITY = ["boundary_radius", "seed"]
+
+
+def with_caps(fields, **caps):
+    """configs(fields) plus every capped field set, so the run stays short whatever the rest holds."""
+    return st.builds(lambda config, capped: {**config, **capped}, configs(fields), st.fixed_dictionaries(caps))
+
+
+# Resolutions up to 41 and identity caps up to 64 keep each run short; the caps themselves are timed in test_cli.
+# Odd resolutions from -1 to 41, so that most runs get past the schema.
+sign_map_runs = with_caps(SIGN_MAP, sign_resolution=st.integers(min_value=-1, max_value=20).map(lambda k: 2 * k + 1))
+identity_runs = with_caps(
+    IDENTITY,
+    identity_samples=st.integers(min_value=-2, max_value=64),
+    identity_max_order=st.integers(min_value=-2, max_value=64),
+)
+
+
 @settings(max_examples=100, deadline=None, database=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    command=st.sampled_from(["indicator", "enclosure", "runge"]),
+    command=st.sampled_from(["indicator", "enclosure", "runge", "sign-map", "verify-identity"]),
     indicator=indicator_runs | configs(INDICATOR),
     enclosure=configs(ENCLOSURE),
     runge=runge_runs | configs(RUNGE),
+    sign_map=sign_map_runs,
+    identity=identity_runs,
 )
-def test_main_exits_0_1_or_2(tmp_path, capsys, command, indicator, enclosure, runge):
-    config = {"indicator": indicator, "enclosure": enclosure, "runge": runge}[command]
+def test_main_exits_0_1_or_2(tmp_path, capsys, command, indicator, enclosure, runge, sign_map, identity):
+    config = {"indicator": indicator, "enclosure": enclosure, "runge": runge, "sign-map": sign_map, "verify-identity": identity}[command]
     code = main([command, "--config", write(tmp_path, config), "--out", str(tmp_path / "out")])
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
     assert "Traceback" not in capsys.readouterr().err
