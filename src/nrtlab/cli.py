@@ -401,12 +401,11 @@ def run_indicator(cfg: RunConfig) -> tuple:
                 "verdict": curve.verdict.value,
                 "values": list(curve.values),
                 "growth_ratios": list(curve.growth_ratios),
+                "limit_bound": curve.limit_bound,
             }
         )
         if expect is not None and curve.verdict.value != expect:
             failures.append(f"region {idx} verdict {curve.verdict.value} != expected {expect}")
-        elif curve.verdict is Verdict.INCONCLUSIVE:
-            soft_flags.append(f"region {idx} inconclusive")
 
     summary = {"eps": cfg.eps, "orders": cfg.orders, "regions": region_summaries}
     chart = partial(
@@ -649,7 +648,7 @@ def run_enclosure(cfg: RunConfig) -> tuple:
 
 
 # A runner writes nothing and returns (table, summary, failures, soft_flags,
-# chart): CSV columns, JSON summary, failed checks, inconclusive outcomes
+# chart): CSV columns, JSON summary, failed checks, refused or inconclusive outcomes
 # (failures only under --strict), and chart(path), which draws the SVG.
 RUNNERS = {
     "verify-identity": run_verify_identity,
@@ -677,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output directory (default: out)")
-        p.add_argument("--strict", action="store_true", help="treat inconclusive outcomes as failures")
+        p.add_argument("--strict", action="store_true", help="treat refused or inconclusive outcomes as failures")
         p.add_argument("--R", type=float, default=None, dest="boundary_radius", help="ambient disk radius (> 1)")
         p.add_argument("--eps", type=float, default=None, help="constraint radius for the lifted data")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized cases")

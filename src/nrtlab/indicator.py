@@ -16,15 +16,17 @@ regions that do or do not feel the cavity.
 On a disk G = disk(c, rho) the sup has a closed form.  The harmonic
 polynomials of degree <= N are also spanned by 1 and Re/Im (z - c)^k,
 k = 1..N, which are orthogonal in H1(G), so the sup is the positive
-series eps * sqrt(sum_i l(e_i)^2 / ||e_i||^2) with no cancellation.
-Sweeps evaluate that series in log space; the quadrature Gram matrix
-and its pseudo-inverse sup stay as a low-order reference.
+series eps * sqrt(sum_i l(e_i)^2 / ||e_i||^2) with no cancellation and
+closed-form terms.  It converges exactly when the origin lies inside G,
+which is a sweep's verdict.  Sweeps evaluate it in log space; the
+quadrature Gram matrix and its pseudo-inverse sup stay as a low-order
+reference.
 
 The module provides the Gram assembly, the pseudo-inverse sup with its
-discarded-mass diagnostics, the exact series sweep over N with a
-verdict, the boundary least-squares fit of the log potential that drives
-the blow-up route, and a slope-based diagnostic for curves of indicator
-values.
+discarded-mass diagnostics, the exact series sweep over N with its
+verdict and limit bound, the boundary least-squares fit of the log
+potential that drives the blow-up route, and a slope-based diagnostic
+for curves of indicator values.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ FLAT_SLOPE = 0.1
 
 
 class Verdict(enum.Enum):
-    """Outcome of a sweep: indicator bounded, blowing up, or unclear."""
+    """Indicator bounded or blowing up; only a slope diagnostic can be unclear."""
 
     BOUNDED = "Bounded"
     BLOW_UP = "BlowUp"
@@ -291,7 +293,8 @@ class IndicatorCurve:
     """Indicator values along a sweep parameter, with verdict attached.
 
     parameter is "N" for cutoff-order sweeps and "t" for probe-distance
-    sweeps; grid holds the parameter values in sweep order.
+    sweeps; grid holds the parameter values in sweep order.  limit_bound
+    bounds an order sweep's limit (see indicator_sweep), None on t-curves.
     """
 
     parameter: str
@@ -299,6 +302,7 @@ class IndicatorCurve:
     values: np.ndarray
     eps: float
     verdict: Verdict | None = None
+    limit_bound: float | None = None
 
     def __post_init__(self):
         if self.parameter not in ("N", "t"):
@@ -351,66 +355,42 @@ def _logsumexp(x: np.ndarray) -> float:
     return top + float(np.log(np.sum(np.exp(x - top))))
 
 
-def _series_log_terms(cavity: DiskRegion, boundary_radius: float, order: int) -> np.ndarray:
+def _series_log_terms(cavity: DiskRegion, order: int) -> np.ndarray:
     """log(l(e)^2 / ||e||^2_H1(G)) per orthogonal order k = 0..order on the disk G.
 
-    Entry 0 is the constant e_0 = 1 with ||e_0||^2 = D_0 = pi rho^2; entry
-    k >= 1 sums the pair Re/Im (z - c)^k, both of squared norm
+    Entry k >= 1 sums the pair Re/Im (z - c)^k, both of squared norm
     D_k = pi rho^2k (k + rho^2 / (2 (k + 1))), into |mu_k|^2 / D_k with
-    mu_k = l(Re (z - c)^k) + i l(Im (z - c)^k).  With omega_n = l(Re z^n)
-    + i l(Im z^n), the binomial expansion gives mu_k = sum_n C(k, n)
-    (-c)^(k - n) omega_n.  omega_n = pi R^(n+1) w_n pairs z^n with the gap
-    trace w_n = -2 n s_n R^(-n-1) of the explicit cavity, whose singular
-    coefficients are s_n and log coefficient gamma; the powers of R
-    cancel, leaving omega_n = -2 pi n s_n and omega_0 = 2 pi gamma, which
-    stay finite for every R.  Everything is kept in logs, since off the
-    origin mu_k grows like |c|^k.  A term whose pairing vanishes is -inf.
+    mu_k = l(Re (z - c)^k) + i l(Im (z - c)^k).  The cavity's only
+    singular mode is r^-1 cos(theta), so l(f) = -2 pi dx f(0) at every R,
+    mu_k = -2 pi k (-c)^(k - 1), and entry 0, the constant, is -inf.  The
+    terms are taken from log rho and log |c|, as rho^2 may underflow.
     """
-    u = annulus_neumann_solution(boundary_radius)
-    n_all = np.arange(u.max_order + 1)
-    omega = -2.0 * np.pi * n_all * (u.singular_cos + 1j * u.singular_sin)
-    omega[0] = 2.0 * np.pi * u.log_coeff
-    modes = [n for n in n_all if omega[n] != 0.0]
-
     rho = cavity.radius
-    k = np.arange(order + 1)
-    minus_c = -complex(*cavity.center)
-    log_c = math.log(abs(minus_c)) if minus_c != 0.0 else -np.inf
+    k = np.arange(1, order + 1)
+    abs_c = math.hypot(*cavity.center)
+    power = (k - 1) * math.log(abs_c) if abs_c > 0.0 else np.where(k == 1, 0.0, -np.inf)
+    log_mu = np.log(k) + power + math.log(2.0 * np.pi)
     log_d = np.log(np.pi) + 2.0 * k * math.log(rho) + np.log(k + rho * rho / (2.0 * (k + 1.0)))
-    log_d[0] = math.log(np.pi * rho * rho)
-    # One row per nonzero mode n: log |C(k, n) (-c)^(k - n) omega_n| and its phase.
-    log_mag = np.full((len(modes), k.size), -np.inf)
-    phase = np.zeros((len(modes), k.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for row, n in enumerate(modes):
-            ks = k[n:]
-            log_binom = np.sum(np.log(ks[:, None] - np.arange(n)), axis=1) - math.lgamma(n + 1)
-            power = np.where(ks == n, 0.0, (ks - n) * log_c)
-            log_mag[row, n:] = log_binom + power + math.log(abs(omega[n]))
-            phase[row, n:] = (ks - n) * np.angle(minus_c) + np.angle(omega[n])
-        top = np.max(log_mag, axis=0)
-        live = np.isfinite(top)
-        mu = np.sum(np.exp(log_mag[:, live] - top[live] + 1j * phase[:, live]), axis=0)
-        log_mu = np.full(k.size, -np.inf)
-        log_mu[live] = top[live] + np.log(np.abs(mu))
-    return 2.0 * log_mu - log_d
+    return np.concatenate(([-np.inf], 2.0 * log_mu - log_d))
 
 
 def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orders) -> IndicatorCurve:
     """Exact constrained sup on a disk region over increasing cutoff orders.
 
-    I_N = eps * sqrt(l(1)^2 / D_0 + sum_{k=1..N} |mu_k|^2 / D_k) in the
+    I_N = eps * sqrt(S_N) with S_N = sum_{k=1..N} |mu_k|^2 / D_k in the
     orthogonal basis of _series_log_terms, accumulated in log space over
     the order grid, so the values stay exact until I_N itself leaves the
     float64 range, where it rounds to inf.  Refuses regions whose
     boundary passes through the origin; there the bounded/blow-up
     dichotomy is not defined.
 
-    The verdict compares the mean series term over the last order window
-    (orders[-2], orders[-1]] with the mean over the window before it:
-    BlowUp if the last mean is larger, Bounded if it is smaller or both
-    windows are zero, Inconclusive if they are equal or fewer than three
-    orders are given.
+    The verdict is the geometry's: Bounded if the origin lies inside the
+    disk, where the series converges, BlowUp if outside, where its terms
+    grow like (|c| / rho)^2k.  With q = |c|^2 / rho^2 and N = orders[-1],
+    k^2 / (k + rho^2 / (2 (k + 1))) <= k bounds the tail beyond N by
+    (4 pi / rho^2) sum_{k>N} k q^(k-1) = (4 pi / rho^2) q^N ((N + 1) - N q)
+    / (1 - q)^2, so I_N <= I_inf <= limit_bound = eps * sqrt(S_N + tail)
+    inside; outside, limit_bound is +inf.
     """
     orders = validate_orders(orders)
     where = cavity.classify_origin()
@@ -423,34 +403,25 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"constraint radius eps must be positive and finite, got {eps}")
 
-    terms = _series_log_terms(cavity, boundary_radius, orders[-1])
+    terms = _series_log_terms(cavity, orders[-1])
     starts = [0] + [n + 1 for n in orders[:-1]]
     blocks = np.array([_logsumexp(terms[a : n + 1]) for a, n in zip(starts, orders)])
     log_sq = np.logaddexp.accumulate(blocks)
+    log_limit = np.inf
+    if where is OriginLocation.INSIDE:
+        n, log_rho, abs_c = orders[-1], math.log(cavity.radius), math.hypot(*cavity.center)
+        log_q = 2.0 * (math.log(abs_c) - log_rho) if abs_c > 0.0 else -np.inf
+        q = math.exp(log_q)
+        tail = math.log(4.0 * np.pi) - 2.0 * log_rho + n * log_q + math.log((n + 1) - n * q) - 2.0 * math.log1p(-q)
+        log_limit = np.logaddexp(log_sq[-1], tail)
     with np.errstate(over="ignore"):
-        gain = np.exp(0.5 * log_sq)
+        log_all = 0.5 * np.append(log_sq, log_limit)
+        gain = np.exp(log_all)
         # eps * gain keeps the value exactly linear in eps; only where the
         # gain alone overflows is eps folded into the exponent instead.
-        values = np.where(np.isfinite(gain), eps * gain, np.exp(math.log(eps) + 0.5 * log_sq))
-
-    if len(orders) < 3:
-        verdict = Verdict.INCONCLUSIVE
-    else:
-        before = blocks[-2] - math.log(orders[-2] - orders[-3])
-        last = blocks[-1] - math.log(orders[-1] - orders[-2])
-        if last > before:
-            verdict = Verdict.BLOW_UP
-        elif last < before or last == -np.inf:
-            verdict = Verdict.BOUNDED
-        else:
-            verdict = Verdict.INCONCLUSIVE
-    return IndicatorCurve(
-        parameter="N",
-        grid=np.array(orders, dtype=float),
-        values=values,
-        eps=float(eps),
-        verdict=verdict,
-    )
+        scaled = np.where(np.isfinite(gain), eps * gain, np.exp(math.log(eps) + log_all))
+    verdict = Verdict.BOUNDED if where is OriginLocation.INSIDE else Verdict.BLOW_UP
+    return IndicatorCurve("N", np.array(orders, dtype=float), scaled[:-1], float(eps), verdict, float(scaled[-1]))
 
 
 @dataclass(frozen=True)
@@ -804,8 +775,8 @@ def blow_up_diagnostic(curve: IndicatorCurve) -> Verdict:
 
     A fitted slope >= BLOW_UP_SLOPE with regression R^2 >= BLOW_UP_R2
     reads as blow-up, |slope| <= FLAT_SLOPE as bounded, anything else as
-    inconclusive.  Needs at least three samples and
-    strictly positive values (an all-zero curve is bounded outright).
+    inconclusive.  Needs at least three samples and strictly positive
+    values (an all-zero curve is bounded outright).
     """
     if curve.grid.size < 3:
         raise ValueError(f"diagnostic needs at least 3 samples, got {curve.grid.size}")

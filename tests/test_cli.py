@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,7 +73,7 @@ def test_json_payload_shape(tmp_path):
     assert payload["summary"]["passed"] is True
     verdicts = [entry["verdict"] for entry in payload["summary"]["regions"]]
     assert verdicts == ["Bounded", "BlowUp"]
-    assert set(payload["summary"]["regions"][0]) == {"region", "expect", "verdict", "values", "growth_ratios"}
+    assert set(payload["summary"]["regions"][0]) == {"region", "expect", "verdict", "values", "growth_ratios", "limit_bound"}
 
 
 def test_csv_headers(tmp_path):
@@ -535,13 +536,47 @@ def test_expect_mismatch_fails(tmp_path):
     assert payload["summary"]["failures"]
 
 
-def test_strict_turns_inconclusive_into_failure(tmp_path):
-    # Two cutoff orders cannot produce a verdict; strict makes that fatal.
+def test_strict_passes_on_two_orders(tmp_path):
+    # The verdict is the origin's side of the disk, so two cutoff orders decide it.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"orders": [4, 8], "regions": [{"shape": "disk", "center": [0.0, 0.0], "radius": 0.5}]}))
     out = tmp_path / "out"
-    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    assert main(["indicator", "--config", str(config), "--strict", "--out", str(out)]) == EXIT_CHECK_FAILED
+    assert main(["indicator", "--config", str(config), "--strict", "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "indicator.json").read_text())["summary"]["soft_flags"] == []
+
+
+def test_origin_just_inside_a_near_tangent_disk_is_bounded(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"regions": [{"center": [0.5, 0], "radius": 0.505, "expect": "Bounded"}]}))
+    out = tmp_path / "out"
+    assert main(["indicator", "--config", str(config), "--strict", "--out", str(out)]) == EXIT_OK
+    (region,) = json.loads((out / "indicator.json").read_text())["summary"]["regions"]
+    assert region["values"][-1] <= region["limit_bound"] < math.inf
+
+
+def test_indicator_runs_on_tiny_disks(tmp_path, capsys):
+    # rho^2 underflows below rho = 1.5e-162; the sweep works from log rho.
+    regions = [
+        {"center": [0.5, 0], "radius": 1e-170},
+        {"center": [0, 0], "radius": 1e-170},
+        {"center": [0, 0], "radius": 1e-8},
+        {"center": [0.5, 0], "radius": 1e-300},
+    ]
+    config = tmp_path / "cfg.json"
+    for orders in ([1], [4, 8, 16, 24, 32]):
+        config.write_text(json.dumps({"regions": regions, "orders": orders}))
+        out = tmp_path / f"out{len(orders)}"
+        assert main(["indicator", "--config", str(config), "--out", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+        summary = json.loads((out / "indicator.json").read_text())["summary"]
+        verdicts = [region["verdict"] for region in summary["regions"]]
+        assert verdicts == ["BlowUp", "refused", "Bounded", "BlowUp"]
+        for region in summary["regions"]:
+            if region["verdict"] == "Bounded":
+                assert all(isinstance(v, float) for v in region["values"])
+                assert region["values"][-1] <= region["limit_bound"] < math.inf
+            elif region["verdict"] == "BlowUp":
+                assert region["limit_bound"] == "inf"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_origin_on_boundary_region_is_refused(tmp_path):

@@ -47,10 +47,39 @@ near_margin_disks = st.builds(
     st.floats(min_value=0.0, max_value=2.0 * math.pi),
     st.floats(min_value=-12.0, max_value=-8.0).map(lambda e: 10.0**e),
 )
-disks = st.fixed_dictionaries(
-    {"center": st.lists(numbers, min_size=2, max_size=2), "radius": numbers},
-    optional={"expect": st.sampled_from(["Bounded", "BlowUp", "Inconclusive", "bounded", None])},
-) | near_margin_disks
+
+def polar_disk(dist, angle, radius):
+    return {"center": [dist * math.cos(angle), dist * math.sin(angle)], "radius": radius}
+
+
+angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+# Disks whose boundary passes near the origin: | |c| / rho - 1 | log-uniform
+# in [1e-8, 1e-1], on either side.
+near_tangent_disks = st.builds(
+    lambda rho, gap, side, angle: polar_disk(rho * (1.0 + side * gap), angle, rho),
+    st.floats(min_value=0.01, max_value=0.9),
+    st.floats(min_value=-8.0, max_value=-1.0).map(lambda e: 10.0**e),
+    st.sampled_from([-1.0, 1.0]),
+    angles,
+)
+# Disks of radius 1e-300 to 1e-150, where rho^2 underflows, at least 0.1
+# off the origin so that the sweep runs; the exponents are listed from 300
+# down because hypothesis favours the first entry of sampled_from.
+tiny_disks = st.builds(
+    lambda e, dist, angle: polar_disk(dist, angle, 10.0**-e),
+    st.sampled_from(range(300, 149, -1)),
+    st.floats(min_value=0.1, max_value=1.9),
+    angles,
+)
+disks = (
+    st.fixed_dictionaries(
+        {"center": st.lists(numbers, min_size=2, max_size=2), "radius": numbers},
+        optional={"expect": st.sampled_from(["Bounded", "BlowUp", "Inconclusive", "bounded", None])},
+    )
+    | near_margin_disks
+    | near_tangent_disks
+    | tiny_disks
+)
 NEAR_VALID = {
     "boundary_radius": numbers,
     "eps": numbers,

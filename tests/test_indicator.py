@@ -316,7 +316,7 @@ def test_series_pairings_match_the_gap_trace(radius):
     d_k = [np.pi * rho**2] + [np.pi * rho ** (2 * k) * (k + rho**2 / (2 * (k + 1))) for k in (1, 2)]
     with np.errstate(divide="ignore"):
         expected = [2.0 * np.log(abs(o)) - np.log(d) for o, d in zip(omega, d_k)]
-    assert_allclose(_series_log_terms(DiskRegion((0.0, 0.0), rho), radius, 2), expected, rtol=1e-14)
+    assert_allclose(_series_log_terms(DiskRegion((0.0, 0.0), rho), 2), expected, rtol=1e-14)
 
 
 def test_indicator_sweep_refuses_origin_on_boundary():
@@ -324,9 +324,51 @@ def test_indicator_sweep_refuses_origin_on_boundary():
         indicator_sweep(DiskRegion((0.5, 0.0), 0.5), R, EPS, [4, 8])
 
 
-def test_indicator_sweep_inconclusive_when_short():
-    curve = indicator_sweep(DiskRegion((0.0, 0.0), 0.5), R, EPS, [4, 8])
-    assert curve.verdict is Verdict.INCONCLUSIVE
+def test_indicator_sweep_two_orders_give_the_geometric_verdict():
+    assert indicator_sweep(DiskRegion((0.0, 0.0), 0.5), R, EPS, [4, 8]).verdict is Verdict.BOUNDED
+    assert indicator_sweep(DiskRegion((1.3, 0.0), 0.25), R, EPS, [4, 8]).verdict is Verdict.BLOW_UP
+
+
+@pytest.mark.parametrize("orders", [[4, 8, 16, 24, 32], [4, 8]])
+def test_indicator_sweep_verdict_is_the_geometry_next_to_the_origin(orders):
+    # Disks whose boundary passes within a relative 1e-6 of the origin on
+    # either side: the series converges or diverges there ever more slowly,
+    # and the verdict still follows the side the origin is on.
+    rng = np.random.default_rng(5)
+    ratios = np.concatenate([np.linspace(0.9, 1.0 - 1e-6, 200), np.linspace(1.0 + 1e-6, 1.1, 200)])
+    for ratio, angle in zip(ratios, rng.uniform(0.0, 2.0 * np.pi, ratios.size)):
+        center = (0.5 * ratio * np.cos(angle), 0.5 * ratio * np.sin(angle))
+        want = Verdict.BOUNDED if np.hypot(*center) < 0.5 else Verdict.BLOW_UP
+        assert indicator_sweep(DiskRegion(center, 0.5), R, EPS, orders).verdict is want, (ratio, angle)
+
+
+@pytest.mark.parametrize("center,rho", [((0.365, 0.0), 0.546), ((0.5, 0.0), 0.505), ((0.4995, 0.0), 0.5)])
+def test_limit_bound_holds_beyond_the_sweep(center, rho):
+    region = DiskRegion(center, rho)
+    bound = indicator_sweep(region, R, EPS, [4, 8, 16, 24, 32]).limit_bound
+    assert indicator_sweep(region, R, EPS, [1024]).values[-1] <= bound * (1.0 + 1e-15)
+    # The bound only tightens with N, and I_N only grows, so their gap never widens.
+    gaps = []
+    for n in range(1, 129):
+        curve = indicator_sweep(region, R, EPS, list(range(1, n + 1)))
+        assert curve.values[-1] <= curve.limit_bound
+        gaps.append(curve.limit_bound - curve.values[-1])
+    assert np.all(np.diff(gaps) <= 0.0)
+
+
+def test_limit_bound_is_the_tail_closed_form():
+    # A centred disk has its whole series in k = 1, so the bound is the
+    # k = 1 term plus (4 pi / rho^2) * 0 = I_N; off-centre the tail of
+    # sum k q^(k-1) beyond N is summed exactly.
+    centred = indicator_sweep(DiskRegion((0.0, 0.0), 0.5), R, EPS, [4, 8])
+    assert centred.limit_bound == centred.values[-1]
+    rho, c, n = 0.5, 0.25, 8
+    q = c**2 / rho**2
+    terms = [(2 * np.pi * k * c ** (k - 1)) ** 2 / (np.pi * rho ** (2 * k) * (k + rho**2 / (2 * (k + 1)))) for k in range(1, n + 1)]
+    tail = 4 * np.pi / rho**2 * sum(k * q ** (k - 1) for k in range(n + 1, 2000))
+    curve = indicator_sweep(DiskRegion((c, 0.0), rho), R, EPS, [4, n])
+    assert_allclose(curve.limit_bound, EPS * np.sqrt(sum(terms) + tail), rtol=1e-14)
+    assert np.isposinf(indicator_sweep(DiskRegion((1.3, 0.0), 0.25), R, EPS, [4, 8]).limit_bound)
 
 
 def test_indicator_sweep_validates_orders():
