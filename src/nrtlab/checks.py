@@ -4,10 +4,10 @@ Three independent consistency routes for the cavity measurement:
 
 * the Fourier pairing on r = R against the gradient of the harmonic
   lift at the origin, which must agree for every boundary datum;
-* the sign structure of the second-normal-derivative kernel
-  -d^2/dy3^2 (1/|x - y|) restricted to a horizontal plane, whose zero
-  set is the circle of radius sqrt(2) y3 and whose indefiniteness on a
-  fixed patch persists as y3 -> 0;
+* the sign of the second-normal-derivative kernel -d^2/dy3^2 (1/|x - y|)
+  restricted to a horizontal plane, exactly sign(|x|^2 - 2 y3^2): each
+  sampled cell is checked against it, one ray estimates the zero circle,
+  and indefiniteness on a fixed patch as y3 -> 0 follows from its radius;
 * the enclosure-method indicator with complex exponential probes,
   which admits the closed form -2 pi tau e^{-i phi}, so its normalized
   log modulus decays like log(2 pi tau) / tau.
@@ -42,9 +42,8 @@ ENCLOSURE_NODES = 64
 MAX_TAU = 1e6
 # Rounding steps in the enclosure_bound derivation, in units of u rho_tau.
 ENCLOSURE_KAPPA = 52
-# Polar sample grid of the sign-indefiniteness certificate on its patch.
-CERTIFICATE_RADII = 48
-CERTIFICATE_ANGLES = 64
+# Rounding steps in the sign_cell_counts band, in units of u (|x|^2 + 2 y3^2).
+SIGN_KAPPA = 3
 
 
 def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: BoundaryData | None = None) -> tuple[float, float]:
@@ -84,9 +83,9 @@ class SignField:
     """Kernel values on a square grid in the plane, with the zero circle.
 
     axis holds the shared x1/x2 grid, values[i, j] is the kernel at
-    (axis[i], axis[j]).  zero_radius_estimate comes from sign changes
-    along rays from the origin and is nan when no change occurs inside
-    the grid.
+    (axis[i], axis[j]).  zero_radius_estimate comes from the first sign
+    change along one ray from the origin and is nan when no change
+    occurs inside the grid.
     """
 
     y3: float
@@ -114,29 +113,11 @@ class SignField:
 
 
 def _radial_zero_estimate(y3: float, half_width: float, step: float) -> float:
-    # The kernel is negative at the origin; walk 8 rays outward and
-    # bracket the first sign change at the sampling step.
-    estimates = []
+    # The kernel is radial and negative at the origin: on one ray at the
+    # sampling step, the first positive sample brackets the zero circle.
     radii = np.arange(step, half_width + 0.5 * step, step)
-    for k in range(8):
-        angle = k * np.pi / 4.0
-        x1 = radii * np.cos(angle)
-        x2 = radii * np.sin(angle)
-        vals = probe_kernel(x1, x2, y3)
-        signs = np.sign(vals)
-        prev = -1.0
-        hit = np.nan
-        for r, s in zip(radii, signs):
-            if s > 0.0 and prev < 0.0:
-                hit = r - 0.5 * step
-                break
-            if s != 0.0:
-                prev = s
-        estimates.append(hit)
-    estimates = np.asarray(estimates)
-    if np.all(np.isnan(estimates)):
-        return float("nan")
-    return float(np.nanmean(estimates))
+    positive = np.flatnonzero(probe_kernel(radii, 0.0, y3) > 0.0)
+    return float(radii[positive[0]] - 0.5 * step) if positive.size else float("nan")
 
 
 def sign_map(y3: float, half_width: float = 1.0, resolution: int = 101) -> SignField:
@@ -161,15 +142,52 @@ def sign_map(y3: float, half_width: float = 1.0, resolution: int = 101) -> SignF
     return SignField(y3=float(y3), axis=axis, values=values, zero_radius_estimate=estimate)
 
 
+def sign_cell_counts(field: SignField) -> tuple[int, int, int, int, tuple[float, float, float] | None]:
+    """Check every cell of a sign map against the closed-form sign of |x|^2 - 2 y3^2.
+
+    Returns (negative, positive, band, mismatched, first): the cells of
+    each closed-form sign outside the rounding band
+    | |x|^2 - 2 y3^2 | <= kappa u (|x|^2 + 2 y3^2), u = 2^-53, kappa = SIGN_KAPPA,
+    the cells inside it, the cells outside it whose kernel value has
+    another sign, and (x1, x2, value) of the first of those in C order,
+    or None.  The sign comes from the coordinates, never from probe_kernel.
+
+    kappa = 2 + 1 to first order: fl(x1^2 + x2^2) is within 2u |x|^2 and
+    fl(2 y3^2) within u 2 y3^2, so their difference, here and in the
+    kernel's numerator alike, has the exact sign where it exceeds
+    2u (|x|^2 + 2 y3^2); the third unit covers the band test's own
+    roundings and the second-order terms.  A subnormal square errs by at
+    most 2^-1075, far inside the band wherever the kernel's d^5,
+    d^2 = |x|^2 + y3^2, has not underflowed to 0, which takes d^2 > 3e-130.
+    Outside the band the numerator is at least kappa u d^2, so the
+    quotient is at least kappa u / d^3 > 3e-202 wherever d^5 did not
+    overflow (then d^3 < 1e186): it cannot underflow to a signless zero.
+    """
+    sq = field.axis * field.axis
+    rho_sq = sq[:, None] + sq
+    two_y3_sq = 2.0 * field.y3 * field.y3
+    gap = rho_sq - two_y3_sq
+    band = np.abs(gap) <= SIGN_KAPPA * 2.0**-53 * (rho_sq + two_y3_sq)
+    expected = np.where(band, 0.0, np.sign(gap))
+    wrong = np.flatnonzero((expected != 0.0) & (np.sign(field.values) != expected))
+    first = None
+    if wrong.size:
+        i, j = divmod(int(wrong[0]), field.axis.size)
+        first = (float(field.axis[i]), float(field.axis[j]), float(field.values[i, j]))
+    counts = (np.count_nonzero(expected < 0.0), np.count_nonzero(expected > 0.0), np.count_nonzero(band), wrong.size)
+    return (*(int(n) for n in counts), first)
+
+
 def sign_indefiniteness_certificate(y3_list, patch_radius: float) -> bool:
     """Check that the kernel changes sign on one fixed patch for every y3.
 
     The patch is the disk of radius patch_radius about the origin in
     the plane, the same for all heights; y3_list must be a nonempty
-    strictly decreasing list of positive heights.  Returns True when
-    strictly positive and strictly negative samples are found on the
-    patch at every height, which is the discrete form of sign
-    indefiniteness persisting down the height sequence.
+    strictly decreasing list of positive heights.  The kernel is
+    negative at the origin and positive exactly outside the circle of
+    radius sqrt(2) y3, so it takes both signs on the patch at every
+    height exactly when patch_radius > sqrt(2) y3 at the first, largest
+    height; the comparison is made with the rounded product.
     """
     heights = [float(v) for v in y3_list]
     if len(heights) == 0:
@@ -180,19 +198,7 @@ def sign_indefiniteness_certificate(y3_list, patch_radius: float) -> bool:
         raise ValueError(f"heights must be strictly decreasing, got {heights}")
     if patch_radius <= 0.0:
         raise ValueError(f"patch_radius must be positive, got {patch_radius}")
-    radii = np.linspace(0.0, patch_radius, CERTIFICATE_RADII + 1)[1:]
-    angles = np.linspace(0.0, 2.0 * np.pi, CERTIFICATE_ANGLES, endpoint=False)
-    RR, TT = np.meshgrid(radii, angles, indexing="ij")
-    x1 = RR * np.cos(TT)
-    x2 = RR * np.sin(TT)
-    for y3 in heights:
-        vals = probe_kernel(x1, x2, y3)
-        center = probe_kernel(0.0, 0.0, y3)
-        has_negative = bool(center < 0.0 or np.any(vals < 0.0))
-        has_positive = bool(np.any(vals > 0.0))
-        if not (has_negative and has_positive):
-            return False
-    return True
+    return patch_radius > math.sqrt(2.0) * heights[0]
 
 
 def enclosure_closed_form(tau: float, phi: float) -> complex:

@@ -29,6 +29,7 @@ from .checks import (
     enclosure_closed_form,
     enclosure_sweep,
     gradient_identity,
+    sign_cell_counts,
     sign_indefiniteness_certificate,
     sign_map,
     validate_taus,
@@ -541,18 +542,11 @@ def run_runge(cfg: RunConfig) -> tuple:
 
 
 def run_sign_map(cfg: RunConfig) -> tuple:
-    """Map the restricted kernel sign structure over decreasing heights."""
+    """Map the restricted kernel signs over decreasing heights; every cell must have the closed-form sign."""
     heights = cfg.y3_values
     half_width = cfg.sign_half_width
     resolution = cfg.sign_resolution
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            certificate = sign_indefiniteness_certificate(heights, cfg.sign_patch_radius)
-    except FloatingPointError as exc:
-        raise ConfigError(
-            f"sign_patch_radius={cfg.sign_patch_radius}, y3_values={heights}: the certificate's kernel samples "
-            f"leave the float64 range ({exc})"
-        ) from exc
+    certificate = sign_indefiniteness_certificate(heights, cfg.sign_patch_radius)
 
     fields_out = []
     failures = []
@@ -564,25 +558,20 @@ def run_sign_map(cfg: RunConfig) -> tuple:
         except FloatingPointError as exc:
             raise ConfigError(f"y3={y3}, sign_half_width={half_width}: the kernel leaves the float64 range ({exc})") from exc
         fields_out.append(field_map)
-        center = float(field_map.values[resolution // 2, resolution // 2])
-        entry = {
+        negative, positive, band, mismatched, first = sign_cell_counts(field_map)
+        per_height.append({
             "y3": y3,
-            "center_value": center,
+            "center_value": float(field_map.values[resolution // 2, resolution // 2]),
             "zero_radius_estimate": field_map.zero_radius_estimate,
             "predicted_zero_radius": field_map.predicted_zero_radius,
             "grid_step": field_map.grid_step,
-        }
-        per_height.append(entry)
-        if not center < 0.0:
-            failures.append(f"y3={y3}: kernel at the origin is {center:.3e}, expected negative")
-        predicted = field_map.predicted_zero_radius
-        estimate = field_map.zero_radius_estimate
-        if predicted < half_width:
-            if not np.isfinite(estimate) or abs(estimate - predicted) > field_map.grid_step:
-                failures.append(
-                    f"y3={y3}: zero-circle estimate {estimate} misses sqrt(2) y3 = {predicted:.4f} "
-                    f"by more than one grid step {field_map.grid_step:.4f}"
-                )
+            "negative": negative,
+            "positive": positive,
+            "band": band,
+        })
+        # The origin is a cell, and a misplaced zero circle leaves cells between the two circles.
+        if first is not None:
+            failures.append(f"y3={y3}: {mismatched} cells differ in sign from |x|^2 - 2 y3^2, the first {first[2]!r} at {first[:2]!r}")
     if not certificate:
         failures.append("sign indefiniteness certificate failed on the fixed patch")
 
@@ -593,6 +582,7 @@ def run_sign_map(cfg: RunConfig) -> tuple:
         "patch_radius": cfg.sign_patch_radius,
         "per_height": per_height,
         "certificate": certificate,
+        "certificate_margin": cfg.sign_patch_radius - math.sqrt(2.0) * heights[0],
     }
     # Rows run over heights, then x1, then x2: values[i, j] in C order.
     axis = fields_out[0].axis

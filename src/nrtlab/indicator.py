@@ -363,14 +363,17 @@ def _series_log_terms(cavity: DiskRegion, order: int) -> np.ndarray:
     mu_k = l(Re (z - c)^k) + i l(Im (z - c)^k).  The cavity's only
     singular mode is r^-1 cos(theta), so l(f) = -2 pi dx f(0) at every R,
     mu_k = -2 pi k (-c)^(k - 1), and entry 0, the constant, is -inf.  The
-    terms are taken from log rho and log |c|, as rho^2 may underflow.
+    terms are taken from log rho and log |c|, as rho^2 may underflow, and
+    D_k = pi s^2 rho^2k (k / s^2 + min(1, rho)^2 / (2 (k + 1))) with
+    s = max(1, rho), as rho^2 may overflow; at rho <= 1 that is bit for bit.
     """
     rho = cavity.radius
     k = np.arange(1, order + 1)
     abs_c = math.hypot(*cavity.center)
     power = (k - 1) * math.log(abs_c) if abs_c > 0.0 else np.where(k == 1, 0.0, -np.inf)
     log_mu = np.log(k) + power + math.log(2.0 * np.pi)
-    log_d = np.log(np.pi) + 2.0 * k * math.log(rho) + np.log(k + rho * rho / (2.0 * (k + 1.0)))
+    s, r = max(1.0, rho), min(1.0, rho)
+    log_d = np.log(np.pi) + 2.0 * math.log(s) + 2.0 * k * math.log(rho) + np.log(k * s**-2 + r * r / (2.0 * (k + 1.0)))
     return np.concatenate(([-np.inf], 2.0 * log_mu - log_d))
 
 
@@ -417,9 +420,9 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
     with np.errstate(over="ignore"):
         log_all = 0.5 * np.append(log_sq, log_limit)
         gain = np.exp(log_all)
-        # eps * gain keeps the value exactly linear in eps; only where the
-        # gain alone overflows is eps folded into the exponent instead.
-        scaled = np.where(np.isfinite(gain), eps * gain, np.exp(math.log(eps) + log_all))
+        # eps * gain keeps the value exactly linear in eps; only where the gain
+        # alone overflows or is subnormal is eps folded into the exponent instead.
+        scaled = np.where((gain >= np.finfo(float).tiny) & np.isfinite(gain), eps * gain, np.exp(math.log(eps) + log_all))
     verdict = Verdict.BOUNDED if where is OriginLocation.INSIDE else Verdict.BLOW_UP
     return IndicatorCurve("N", np.array(orders, dtype=float), scaled[:-1], float(eps), verdict, float(scaled[-1]))
 

@@ -15,7 +15,10 @@ rather than in the package.  Each keeps the guards it had there:
   as -2 pi dx P(0) times the same scale;
 * the Runge fit on samples: Vandermonde with Arnoldi on the 2m fit
   points and a least-squares solve over them, the route that
-  `runge_fit` replaces by the circles' Taylor coefficients.
+  `runge_fit` replaces by the circles' Taylor coefficients;
+* the sign-indefiniteness certificate on a polar sample grid of its
+  patch, the route that `sign_indefiniteness_certificate` replaces by
+  comparing the patch radius with sqrt(2) y3.
 
 The quadrature Gram system and its sup stay in nrtlab.indicator, next
 to the disk quadrature they use.
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nrtlab.checks import probe_kernel
 from nrtlab.geometry import DiskRegion, QuadratureRule, as_points
 from nrtlab.harmonic import BoundaryData, HarmonicSeries
 from nrtlab.indicator import RungeFit
@@ -321,3 +325,20 @@ def point_space_runge_fit(t: float, cavity: DiskRegion, order: int) -> PointSpac
     pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
     dp0 = _derivative_at_origin(H, coeff)
     return PointSpaceFit(H, coeff, int(rank), float(dp0.real), residual, pairing_bound)
+
+
+def polar_grid_certificate(y3_list, patch_radius: float) -> bool:
+    """True when kernel samples of both signs lie on the patch at every height.
+
+    The samples are the origin and a polar grid of 48 radii, up to
+    patch_radius, by 64 angles; a sample that overflows to nan counts as
+    neither sign.
+    """
+    rr, tt = np.meshgrid(np.linspace(0.0, patch_radius, 49)[1:], np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False), indexing="ij")
+    x1, x2 = rr * np.cos(tt), rr * np.sin(tt)
+    for y3 in y3_list:
+        vals = probe_kernel(x1, x2, y3)
+        has_negative = bool(probe_kernel(0.0, 0.0, y3) < 0.0 or np.any(vals < 0.0))
+        if not (has_negative and np.any(vals > 0.0)):
+            return False
+    return True

@@ -31,6 +31,7 @@ from nrtlab import (
     sign_indefiniteness_certificate,
     sign_map,
 )
+from nrtlab.checks import sign_cell_counts
 from reference import CircleContour, contour_green_pairing, h1_inner, scaled_sequence
 
 R = 2.0
@@ -118,15 +119,17 @@ def test_criterion_4_blow_up_route():
 def test_criterion_5_sign_indefiniteness():
     y3s = [0.2, 0.1, 0.05]
     certificate = sign_indefiniteness_certificate(y3s, patch_radius=1.0)
-    checks = [(certificate, "certificate issued")]
+    checks = [(certificate, f"certificate issued, margin {1.0 - np.sqrt(2.0) * y3s[0]:.3f}")]
     for y3 in y3s:
         field = sign_map(y3, half_width=1.0, resolution=101)
         radius_err = abs(field.zero_radius_estimate - np.sqrt(2.0) * y3)
         center = probe_kernel(0.0, 0.0, y3)
         center_rel = abs(center + 2.0 / y3**3) * y3**3 / 2.0
         outside = probe_kernel(2.0 * y3, 0.0, y3)
+        mismatched = sign_cell_counts(field)[3]
         checks.append((radius_err <= field.grid_step, f"y3={y3} zero radius off by {radius_err:.3f} (cell {field.grid_step:.3f})"))
         checks.append((center_rel <= 1e-12 and outside > 0.0, f"y3={y3} center rel {center_rel:.1e}, outer sign {np.sign(outside):+.0f}"))
+        checks.append((mismatched == 0, f"y3={y3} {mismatched} cells off the closed-form sign"))
     passed = all(ok for ok, _ in checks)
     _report(5, "sign indefiniteness", passed, "; ".join(msg for _, msg in checks))
 

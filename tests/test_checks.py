@@ -2,10 +2,14 @@
 
 Oracles: the pairing identity is checked against both its Parseval and
 gradient forms; the restricted kernel is checked against a second
-difference of 1/|x - y| in the height variable; the enclosure integral
+difference of 1/|x - y| in the height variable, its sign map against
+the exact sign of |x|^2 - 2 y3^2 in integer arithmetic, and the
+certificate against a polar sample grid; the enclosure integral
 is checked against -2 pi tau e^{-i phi} and, where float64 can still sum
 it there, against the trapezoid rule on the outer circle r = R.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from nrtlab import checks
 from nrtlab.checks import (
     ENCLOSURE_NODES,
     MAX_TAU,
+    SignField,
     enclosure_bound,
     enclosure_closed_form,
     enclosure_indicator,
@@ -22,11 +27,13 @@ from nrtlab.checks import (
     gradient_identity,
     probe_kernel,
     required_enclosure_order,
+    sign_cell_counts,
     sign_indefiniteness_certificate,
     sign_map,
     validate_taus,
 )
 from nrtlab.harmonic import BoundaryData, random_boundary_data
+from reference import polar_grid_certificate
 
 R = 2.0
 
@@ -126,6 +133,75 @@ def test_certificate_fails_on_small_patch():
     # Patch strictly inside the negative region for y3 = 0.2:
     # radius 0.01 < sqrt(2) * 0.2.
     assert not sign_indefiniteness_certificate([0.2], 0.01)
+
+
+def exact_signs(axis, y3):
+    """sign(x1^2 + x2^2 - 2 y3^2) per grid cell, in integers scaled from the floats' exact values."""
+    ratios = [v.as_integer_ratio() for v in [*axis.tolist(), y3]]
+    den = max(d for _, d in ratios)
+    *coords, height = [n * (den // d) for n, d in ratios]
+    squares = [v * v for v in coords]
+    two = 2 * height * height
+    signs = [[(a + b > two) - (a + b < two) for b in squares] for a in squares]
+    near = sum(10**14 * abs(a + b - two) <= a + b + two for a in squares for b in squares)
+    return np.array(signs, dtype=float), near
+
+
+# At y3 = 0.65 and 0.6 cells lie within rounding of the zero circle, where
+# the float64 sign of |x|^2 - 2 y3^2 is wrong and a band of kappa = 0 fails.
+@pytest.mark.parametrize(
+    "y3,half_width,resolution",
+    [(0.2, 1.0, 101), (0.1, 1.0, 101), (0.05, 1.0, 101), (1e-3, 1.0, 401), (1e-5, 1.0, 101), (3.0, 1.0, 41), (1e-50, 1e-49, 41), (1e50, 3e50, 41), (0.65, 1.0, 41), (0.6, 1.0, 101)],
+)
+def test_sign_cell_counts_agree_with_the_exact_sign(y3, half_width, resolution):
+    field = sign_map(y3, half_width, resolution)
+    cells = sign_cell_counts(field)
+    negative, positive, band, mismatched, first = cells
+    assert mismatched == 0 and first is None
+    assert negative + positive + band == resolution**2
+    exact, near = exact_signs(field.axis, y3)
+    # A field holding the exact signs passes as well: outside the band the
+    # closed-form sign the check computes in float64 is the exact one.
+    assert sign_cell_counts(SignField(y3, field.axis, exact, np.nan)) == cells
+    assert negative <= np.count_nonzero(exact < 0.0) and positive <= np.count_nonzero(exact > 0.0)
+    # The band only takes cells within 1e-14 relative of the circle.
+    assert band <= near
+
+
+def test_sign_cell_counts_name_the_first_mismatched_cell():
+    y3 = 0.2
+    field = sign_map(y3, 1.0, 401)
+    X1, X2 = np.meshgrid(field.axis, field.axis, indexing="ij")
+    # A zero circle moved out by a relative 1e-3 leaves negative cells between the circles.
+    moved = SignField(y3, field.axis, probe_kernel(X1, X2, y3 * (1.0 + 1e-3)), np.nan)
+    *_, mismatched, (x1, x2, value) = sign_cell_counts(moved)
+    assert mismatched > 0 and value < 0.0 and 2.0 * y3**2 < x1 * x1 + x2 * x2 < 2.0 * (y3 * (1.0 + 1e-3)) ** 2
+    # The origin is a cell: a kernel that is not negative there mismatches, and so does nan.
+    mid = field.axis.size // 2
+    for bad in (0.0, 1.0, np.nan):
+        values = field.values.copy()
+        values[mid, mid] = bad
+        *_, mismatched, first = sign_cell_counts(SignField(y3, field.axis, values, np.nan))
+        assert mismatched == 1
+        np.testing.assert_equal(first, (0.0, 0.0, bad))
+
+
+def test_certificate_agrees_with_the_polar_grid_reference():
+    # Heights a relative 10^-j either side of patch / sqrt(2), where the
+    # zero circle crosses the patch edge.
+    misses = []
+    for patch in (1e-100, 1e-3, 0.3, 1.0, 7.5, 1e100):
+        for j in range(1, 16):
+            for side in (1.0, -1.0):
+                y3 = patch / math.sqrt(2.0) * (1.0 + side * 10.0**-j)
+                with np.errstate(all="ignore"):
+                    grid = polar_grid_certificate([y3], patch)
+                if grid != sign_indefiniteness_certificate([y3], patch):
+                    misses.append((patch, j, side))
+    # The grid misses at patch 1e100 alone: its samples overflow to nan
+    # there, so it finds no positive one inside the patch.
+    assert misses == [(1e100, j, -1.0) for j in range(1, 16)]
+    assert sign_indefiniteness_certificate([0.2, 0.1, 0.05], 1.0) == polar_grid_certificate([0.2, 0.1, 0.05], 1.0)
 
 
 def test_certificate_preconditions():

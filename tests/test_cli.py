@@ -140,8 +140,6 @@ CONFIG_ERRORS = [
     ("indicator", {"regions": 5}),
     ("indicator", {"orders": [True, 8, 16]}),
     ("enclosure", {"tau_values": [True, 2, 3, 4]}),
-    ("sign-map", {"sign_patch_radius": 1e100}),
-    ("sign-map", {"sign_patch_radius": 1e300}),
     ("indicator", {"sign_resolution": 4}),
     ("runge", {"t_values": [0.5, 0.25, True]}),
     ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expect": ["Bounded"]}]}),
@@ -459,6 +457,36 @@ def test_sign_map_row_count(tmp_path):
     assert main(["sign-map", "--config", str(config), "--out", str(out)]) == EXIT_OK
     lines = (out / "sign-map.csv").read_text().splitlines()
     assert len(lines) == 1 + 2 * 41 * 41
+    per_height = json.loads((out / "sign-map.json").read_text())["summary"]["per_height"]
+    assert [h["negative"] + h["positive"] + h["band"] for h in per_height] == [41 * 41] * 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_sign_patch_radius_is_a_valid_run(tmp_path):
+    # The certificate compares the patch with sqrt(2) max(y3) and samples
+    # no kernel, so a patch of any finite radius certifies.
+    for patch in (1e100, 1e300):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sign_patch_radius": patch}))
+        out = tmp_path / f"out{patch:g}"
+        assert main(["sign-map", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "sign-map.json").read_text())["summary"]
+        assert summary["certificate"] is True
+        assert summary["certificate_margin"] == patch - math.sqrt(2.0) * 0.2
+
+
+def test_sign_map_fails_on_a_moved_zero_circle(tmp_path, monkeypatch, capsys):
+    # A kernel whose zero circle sits a relative 1e-3 outside sqrt(2) y3
+    # is negative on the cells between the two circles.
+    kernel = checks.probe_kernel
+    monkeypatch.setattr(checks, "probe_kernel", lambda x1, x2, y3: kernel(x1, x2, y3 * (1.0 + 1e-3)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"y3_values": [0.2], "sign_resolution": 401}))
+    out = tmp_path / "out"
+    assert main(["sign-map", "--config", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
+    (failure,) = json.loads((out / "sign-map.json").read_text())["summary"]["failures"]
+    assert failure.startswith("y3=0.2: ") and "cells differ in sign" in failure and "np.float64" not in failure
+    assert f"failure: {failure}" in capsys.readouterr().out
 
 
 def test_perturbed_pairing_fails(tmp_path, monkeypatch, capsys):

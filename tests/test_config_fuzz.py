@@ -158,7 +158,22 @@ def with_caps(fields, **caps):
 
 # Resolutions up to 41 and identity caps up to 64 keep each run short; the caps themselves are timed in test_cli.
 # Odd resolutions from -1 to 41, so that most runs get past the schema.
-sign_map_runs = with_caps(SIGN_MAP, sign_resolution=st.integers(min_value=-1, max_value=20).map(lambda k: 2 * k + 1))
+odd_resolutions = st.integers(min_value=-1, max_value=20).map(lambda k: 2 * k + 1)
+sign_map_runs = with_caps(SIGN_MAP, sign_resolution=odd_resolutions)
+# Sign-map runs that get past the schema: heights and half widths over
+# 120 decades, grids that hold the zero circle of the largest height,
+# and patches on either side of sqrt(2) max(y3).
+magnitudes = st.builds(lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(min_value=-60, max_value=60))
+valid_sign_map_runs = st.lists(magnitudes, min_size=1, max_size=3, unique=True).flatmap(
+    lambda heights: st.fixed_dictionaries(
+        {
+            "y3_values": st.just(sorted(heights, reverse=True)),
+            "sign_half_width": magnitudes | st.floats(min_value=0.1, max_value=100.0).map(lambda f: f * max(heights)),
+            "sign_resolution": odd_resolutions.filter(lambda n: n >= 3),
+            "sign_patch_radius": st.floats(min_value=0.5, max_value=2.0).map(lambda f: f * math.sqrt(2.0) * max(heights)),
+        }
+    )
+)
 identity_runs = with_caps(
     IDENTITY,
     identity_samples=st.integers(min_value=-2, max_value=64),
@@ -172,7 +187,7 @@ identity_runs = with_caps(
     indicator=indicator_runs | configs(INDICATOR),
     enclosure=configs(ENCLOSURE),
     runge=runge_runs | configs(RUNGE),
-    sign_map=sign_map_runs,
+    sign_map=valid_sign_map_runs | sign_map_runs,
     identity=identity_runs,
 )
 def test_main_exits_0_1_or_2(tmp_path, capsys, command, indicator, enclosure, runge, sign_map, identity):
@@ -180,3 +195,8 @@ def test_main_exits_0_1_or_2(tmp_path, capsys, command, indicator, enclosure, ru
     code = main([command, "--config", write(tmp_path, config), "--out", str(tmp_path / "out")])
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR)
     assert "Traceback" not in capsys.readouterr().err
+    if command == "sign-map" and code != EXIT_CONFIG_ERROR:
+        # Only the certificate fails a sign map: the per-cell check never
+        # fires on the real kernel.
+        summary = json.loads((tmp_path / "out" / "sign-map.json").read_text())["summary"]
+        assert (code == EXIT_CHECK_FAILED) == (float(summary["certificate_margin"]) <= 0.0), summary["failures"]

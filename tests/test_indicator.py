@@ -12,6 +12,7 @@ pins the sup down to a hand-computable number.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,38 @@ def test_indicator_sweep_exact_until_float64_overflow():
     assert 0 < np.count_nonzero(finite) < len(orders)
     assert_allclose(curve.values[finite], np.exp(log_exact[finite]), rtol=1e-11)
     assert np.all(np.isposinf(curve.values[~finite]))
+
+
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def sweep_decimal(center_dist: float, rho: float, eps: float, orders) -> list[Decimal]:
+    """eps sqrt(sum_k |mu_k|^2 / D_k) at 40 digits, from the floats' exact values."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c, r = Decimal(center_dist), Decimal(rho)
+        total, out = Decimal(0), []
+        for k in range(1, orders[-1] + 1):
+            total += (2 * PI_40 * k * c ** (k - 1)) ** 2 / (PI_40 * r ** (2 * k) * (k + r * r / (2 * (k + 1))))
+            if k in orders:
+                out.append(Decimal(eps) * total.sqrt())
+    return out
+
+
+@pytest.mark.parametrize(
+    "center,rho,eps,orders",
+    [
+        # rho^2 overflows; I_16 leaves the float64 range.
+        ((1e250, 0.0), 1e200, 1e-3, [4, 8]),
+        ((1e250, 0.0), 1e200, 1e300, [4, 8]),
+        # Origin inside: the gain alone is subnormal, about 4e-320.
+        ((1e160, 0.0), 2e160, 1e300, [4, 8, 16, 32]),
+    ],
+)
+def test_indicator_sweep_at_huge_rho_matches_a_decimal_reference(center, rho, eps, orders):
+    curve = indicator_sweep(DiskRegion(center, rho), 1e300, eps, orders)
+    for got, want in zip(curve.values, sweep_decimal(center[0], rho, eps, orders)):
+        assert abs(Decimal(float(got)) - want) <= Decimal("1e-12") * want
 
 
 @pytest.mark.parametrize("radius", [1.5, 10.0, 1e10, 1e155, 1e300])
