@@ -140,6 +140,9 @@ CONFIG_ERRORS = [
     ("indicator", {"regions": 5}),
     ("indicator", {"orders": [True, 8, 16]}),
     ("enclosure", {"tau_values": [True, 2, 3, 4]}),
+    # Any finite positive patch certifies; past the float range or at zero it is refused.
+    ("sign-map", {"sign_patch_radius": 10**400}),
+    ("sign-map", {"sign_patch_radius": 0}),
     ("indicator", {"sign_resolution": 4}),
     ("runge", {"t_values": [0.5, 0.25, True]}),
     ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expect": ["Bounded"]}]}),
