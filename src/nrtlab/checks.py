@@ -187,7 +187,8 @@ def sign_indefiniteness_certificate(y3_list, patch_radius: float) -> bool:
     negative at the origin and positive exactly outside the circle of
     radius sqrt(2) y3, so it takes both signs on the patch at every
     height exactly when patch_radius > sqrt(2) y3 at the first, largest
-    height; the comparison is made with the rounded product.
+    height.  The comparison patch_radius^2 > 2 y3^2 is made exactly, on
+    the floats' integer ratios (see certificate_margin).
     """
     heights = [float(v) for v in y3_list]
     if len(heights) == 0:
@@ -198,7 +199,29 @@ def sign_indefiniteness_certificate(y3_list, patch_radius: float) -> bool:
         raise ValueError(f"heights must be strictly decreasing, got {heights}")
     if patch_radius <= 0.0:
         raise ValueError(f"patch_radius must be positive, got {patch_radius}")
-    return patch_radius > math.sqrt(2.0) * heights[0]
+    return certificate_margin(heights[0], patch_radius) > 0.0
+
+
+def certificate_margin(y3: float, patch_radius: float) -> float:
+    """patch_radius - sqrt(2) y3 at the largest height y3, with the exact sign of patch_radius^2 - 2 y3^2.
+
+    With patch_radius = a / b and y3 = c / d as integer ratios, b and d
+    powers of two, patch_radius^2 - 2 y3^2 = (a^2 d^2 - 2 c^2 b^2) / (b d)^2,
+    whose numerator is never 0, as sqrt(2) is irrational.  The rounded
+    difference is kept wherever its sign is that numerator's.  Within a
+    few units of a tie it can read 0 or the other sign; there the margin
+    is (patch_radius^2 - 2 y3^2) / (2 patch_radius) from the exact
+    numerator, which is the difference to a relative few units since
+    patch_radius and sqrt(2) y3 agree that closely, rounded away from 0
+    to the smallest subnormal if it underflows.
+    """
+    a, b = float(patch_radius).as_integer_ratio()
+    c, d = float(y3).as_integer_ratio()
+    gap = a * a * d * d - 2 * c * c * b * b
+    margin = patch_radius - math.sqrt(2.0) * y3
+    if (margin > 0.0) != (gap > 0):
+        margin = gap / (2 * a * b * d * d) or math.copysign(math.ulp(0.0), gap)
+    return margin
 
 
 def enclosure_closed_form(tau: float, phi: float) -> complex:

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import (
+    certificate_margin,
     enclosure_bound,
     enclosure_closed_form,
     enclosure_sweep,
@@ -582,7 +583,7 @@ def run_sign_map(cfg: RunConfig) -> tuple:
         "patch_radius": cfg.sign_patch_radius,
         "per_height": per_height,
         "certificate": certificate,
-        "certificate_margin": cfg.sign_patch_radius - math.sqrt(2.0) * heights[0],
+        "certificate_margin": certificate_margin(heights[0], cfg.sign_patch_radius),
     }
     # Rows run over heights, then x1, then x2: values[i, j] in C order.
     axis = fields_out[0].axis

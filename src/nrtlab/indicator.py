@@ -60,11 +60,13 @@ UNBOUNDED_SHARE = 1e-8
 MAX_SWEEP_ORDER = 1024
 # Largest cutoff order a Runge fit accepts.  The fit carries N + 1 Taylor
 # coefficients per circle, so its arrays grow like N^2 and its time like
-# N^3 (N Arnoldi steps on rows of 2(N + 1) coefficients against up to
-# N + 1 rows; the least squares then costs O(N^2) through the orthonormal
-# basis); E_t's FFT and the bound take m = 4N + 16 and 4m samples.  The
-# cap bounds both.
+# N^3 (N real Arnoldi steps about |c| on rows of 2(N + 1) coefficients
+# against up to N + 1 rows, then one complex phase twist; the least
+# squares costs O(N^2) through the orthonormal basis); E_t's FFT and the
+# bound take m = 4N + 16 and 4m samples.  The cap bounds both.
 MAX_RUNGE_ORDER = 96
+# Unit roundoff times 2, the spacing of float64 at 1.
+FLOAT_EPS = float(np.finfo(float).eps)
 # blow_up_diagnostic's bars on the fitted slope of log(value) and its R^2.
 BLOW_UP_SLOPE = 0.8
 BLOW_UP_R2 = 0.9
@@ -436,11 +438,12 @@ class RungeFit:
     Hessenberg matrix of Vandermonde with Arnoldi on the m = 4N + 16
     equispaced points of each fit circle, built from the circles' Taylor
     coefficients (see runge_fit), so H's recurrence evaluates p anywhere.
-    dx_p0 is dx P(0) = Re p'(0), so the pairing with the cavity's gap
-    trace is l(g) = -2 pi dx_p0 at every boundary radius.  g keeps the
-    modes n <= 1 of P's trace on r = boundary_radius, built from P(0) and
-    grad P(0): those are the only modes the gap trace pairs with, and the
-    lift of g matches P to first order at the origin.  residual is the H1
+    p0 is P(0) and (dx_p0, dy_p0) is grad P(0) = (Re p'(0), -Im p'(0)), so
+    the pairing with the cavity's gap trace is l(g) = -2 pi dx_p0 at every
+    boundary radius.  g, built from them when read, keeps the modes n <= 1
+    of P's trace on r = boundary_radius: those are the only modes the gap
+    trace pairs with, and the lift of g matches P to first order at the
+    origin.  residual is the H1
     misfit of P against E_t over G and B, norm_on_G and zg_norm_on_G the
     H1(G) norms of E_t and of P.  pairing_bound bounds the relative error
     of l(g) against 2 pi / t.  n_retained is the rank of the
@@ -454,8 +457,9 @@ class RungeFit:
     ball: DiskRegion
     order: int
     boundary_radius: float
-    g: BoundaryData
+    p0: float
     dx_p0: float
+    dy_p0: float
     residual: float
     norm_on_G: float
     zg_norm_on_G: float
@@ -471,15 +475,23 @@ class RungeFit:
             object.__setattr__(self, name, arr)
 
     @property
+    def g(self) -> BoundaryData:
+        """P's trace modes n <= 1 on r = R: P(0) and R grad P(0)."""
+        R = self.boundary_radius
+        return BoundaryData([self.p0, R * self.dx_p0], [0.0, R * self.dy_p0])
+
+    @property
     def log10_max_g(self) -> float:
         """log10 of max |P| on r = R, the size of the full boundary data the fit stands for.
 
         Computed when read, by one pass of H's recurrence on m = 4N + 16
         equispaced points of r = R; powers of two carry the scale, so the
-        log stays finite where P itself would overflow.
+        log stays finite where P itself would overflow.  R enters as its
+        mantissa times 2**e, so the points stay finite up to R = float max.
         """
         circle = _bound_circle(self.order)[::4]
-        values, exponent = _arnoldi_real_part(self.H, self.coeff, self.boundary_radius * circle)
+        mantissa, scale = math.frexp(self.boundary_radius)
+        values, exponent = _arnoldi_real_part(self.H, self.coeff, mantissa * circle, scale)
         return exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
 
 
@@ -497,54 +509,81 @@ def _arnoldi_taylor(center: complex, rho: float, radius: float, order: int) -> t
     Multiplying by z is a fixed bidiagonal map: a_n -> center a_n +
     rho a_{n-1} about the center, b_n -> radius b_{n-1} about 0.  Each
     step is block classical Gram-Schmidt with one reorthogonalisation.
+
+    The steps run in float64 about the real center |c|, for c = |c| e^{i alpha}.
+    Rotating the plane by e^{i alpha} maps the circle about |c| onto the
+    circle about c and the ball's circle onto itself.  The polynomial
+    f(e^{-i alpha} z) has the Taylor coefficients of f times e^{-i n alpha}
+    on both circles, so the coefficient inner product does not see the
+    rotation, and z e^{ik alpha} q_k(e^{-i alpha} z) = sum_j e^{i(k + 1 - j) alpha}
+    H[j, k] e^{ij alpha} q_j(e^{-i alpha} z).  The basis about c is therefore
+    Q_c[k, 2n + s] = e^{i(k - n) alpha} Q[k, 2n + s] with Hessenberg matrix
+    H_c[j, k] = e^{i(k + 1 - j) alpha} H[j, k]: H[k + 1, k] keeps its phase 1,
+    and Arnoldi with a positive subdiagonal is unique.  One elementwise
+    product with a table of exp(i alpha d), d = -N..N, applies that twist;
+    each phase is one exp from alpha = atan2(Im c, Re c), so it stays at
+    rounding where powers of c / |c| would drift, and a real positive c
+    needs none.
+    Rows are built at unit norm behind two zeros, so the shift is a slice,
+    and Q takes its factor sqrt(2) once at the end.  Row k and H's column
+    k depend on k alone, so a build holds every lower-order build bit for bit.
     """
     size = 2 * (order + 1)
-    diagonal = np.zeros(size, dtype=complex)
-    diagonal[0::2] = center
-    step = np.empty(size - 2)
-    step[0::2] = rho
-    step[1::2] = radius
-    Q = np.zeros((order + 1, size), dtype=complex)
-    # Row k of dual is conj(q_k) / 2, so dual @ v is the projection of v on the basis.
-    dual = np.zeros_like(Q)
-    H = np.zeros((order + 1, order), dtype=complex)
-    Q[0, :2] = 1.0
-    dual[0, :2] = 0.5
+    diagonal = np.zeros(size)
+    diagonal[0::2] = abs(center)
+    step = np.zeros(size)
+    step[2::2] = rho
+    step[3::2] = radius
+    # Row k of U is q_k / sqrt(2) in U[k, 2:]; U[k, :size] is the row shifted by one degree.
+    U = np.zeros((order + 1, size + 2))
+    H = np.zeros((order + 1, order))
+    U[0, 2:4] = math.sqrt(0.5)
+    work = np.empty(size)
     for k in range(order):
         live = 2 * (k + 2)  # z q_k has degree k + 1
-        v = diagonal[:live] * Q[k, :live]
-        v[2:] += step[: live - 2] * Q[k, : live - 2]
-        basis, duals = Q[: k + 1, :live], dual[: k + 1, :live]
-        h = duals @ v
+        v = np.multiply(diagonal[:live], U[k, 2 : live + 2], out=work[:live])
+        v += step[:live] * U[k, :live]
+        basis = U[: k + 1, 2 : live + 2]
+        h = basis @ v
         v -= h @ basis
-        again = duals @ v
+        again = basis @ v
         v -= again @ basis
         H[: k + 1, k] = h + again
-        H[k + 1, k] = math.sqrt(np.vdot(v, v).real / 2.0)
-        Q[k + 1, :live] = v / H[k + 1, k]
-        dual[k + 1, :live] = Q[k + 1, :live].conj() / 2.0
-    return Q, H
+        H[k + 1, k] = math.sqrt(v @ v)
+        np.multiply(v, 1.0 / H[k + 1, k], out=U[k + 1, 2 : live + 2])
+    Q = U[:, 2:] * math.sqrt(2.0)
+    if center.imag == 0.0 and center.real > 0.0:
+        return Q.astype(complex), H.astype(complex)
+    # twist[k, n] = e^{i(k - n) alpha}, so twist[k, k] is exactly 1.
+    phase = np.exp(1j * math.atan2(center.imag, center.real) * np.arange(-order, order + 1))
+    degree = np.arange(order + 1)
+    twist = phase[order + degree[:, None] - degree]
+    Q = Q.reshape(order + 1, order + 1, 2) * twist[:, :, None]
+    return Q.reshape(order + 1, size), H * twist.T[:, 1:]
 
 
-def _arnoldi_real_part(H: np.ndarray, coeff: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, int]:
-    """Re sum_k coeff[k] q_k at new points z, through H's recurrence, as (values, exponent).
+def _arnoldi_real_part(H: np.ndarray, coeff: np.ndarray, z: np.ndarray, scale: int = 0) -> tuple[np.ndarray, int]:
+    """Re sum_k coeff[k] q_k at the points z * 2**scale, through H's recurrence, as (values, exponent).
 
     The sum is values * 2**exponent.  Each q_k is carried as a row S_k
     times 2**e_k, with S_k rescaled to a largest entry in [1/2, 1), so
     the recurrence runs on circles far outside the fit points, where
-    q_k grows geometrically, without overflow.  Powers of two keep the
-    rescaling exact.
+    q_k grows geometrically, without overflow.  Each step multiplies by
+    z and carries 2**scale in e_k, so points beyond the float64 range
+    can be passed by their mantissas.  Powers of two keep the rescaling
+    exact: where nothing under- or overflows, the result does not depend
+    on how the points' scale is split between z and scale.
     """
     order = H.shape[1]
     S = np.empty((order + 1, z.size), dtype=complex)
     e = np.zeros(order + 1, dtype=int)
     S[0] = 1.0
     for k in range(order):
-        weights = H[: k + 1, k] * np.ldexp(1.0, e[: k + 1] - e[k])
+        weights = H[: k + 1, k] * np.ldexp(1.0, e[: k + 1] - e[k] - scale)
         v = (z * S[k] - weights @ S[: k + 1]) / H[k + 1, k]
         _, shift = np.frexp(np.max(np.abs(v)))
         S[k + 1] = v * np.ldexp(1.0, -shift)
-        e[k + 1] = e[k] + shift
+        e[k + 1] = e[k] + scale + shift
     top = int(e.max())
     return ((coeff * np.ldexp(1.0, e - top)) @ S).real, top
 
@@ -602,7 +641,7 @@ def _least_squares(Q: np.ndarray, target: np.ndarray, rcond: float) -> tuple[np.
         fitted[:2].imag = 0.0
         update = solve(target - fitted)
         coeff += update
-        if np.abs(update).max() <= np.finfo(float).eps * np.abs(coeff).max():
+        if np.abs(update).max() <= FLOAT_EPS * np.abs(coeff).max():
             break
     return coeff, 2 * width - 4 + int(np.count_nonzero(keep))
 
@@ -697,7 +736,9 @@ def runge_fit(
     m = 4 * order + 16
     fine_circle = _bound_circle(order)
     circle = fine_circle[::4]
-    z = np.stack([complex(*cavity.center) + cavity.radius * circle, ball.radius * circle])
+    z = np.empty((2, m), dtype=complex)
+    np.add(complex(*cavity.center), cavity.radius * circle, out=z[0])
+    np.multiply(ball.radius, circle, out=z[1])
     # E_t = Re sum_n e_n w^n on each circle, for the modes n < m / 2 the samples resolve.
     probe = np.fft.rfft(np.log(np.abs(z - t)), axis=-1)[:, : m // 2] / m
     probe[:, 1:] *= 2.0
@@ -707,7 +748,7 @@ def runge_fit(
     # Re A_0 of each circle gives one row, Re and Im A_n, n >= 1, two of weight 1/2.
     scale = np.full(2 * width, math.sqrt(0.5))
     scale[:2] = 1.0
-    coeff, rank = _least_squares(Q * scale, probe[:, :width].T.ravel() * scale, np.finfo(float).eps * 2 * m)
+    coeff, rank = _least_squares(Q * scale, probe[:, :width].T.ravel() * scale, FLOAT_EPS * 2 * m)
 
     # P's coefficients A_n about the center and B_n about 0; P = Re p, so
     # only the real parts of A_0 and B_0 are P's.
@@ -726,17 +767,16 @@ def runge_fit(
     on_fine = np.fft.irfft(np.concatenate([fitted[1, :1], 0.5 * fitted[1, 1:]]), 4 * m, norm="forward")
     pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
 
-    p0 = fitted[1, 0].real
     dp0 = fitted[1, 1] / ball.radius
-    g = BoundaryData([p0, R * dp0.real], [0.0, -R * dp0.imag])
     return RungeFit(
         t=t,
         cavity=cavity,
         ball=ball,
         order=order,
         boundary_radius=R,
-        g=g,
+        p0=float(fitted[1, 0].real),
         dx_p0=float(dp0.real),
+        dy_p0=float(-dp0.imag),
         residual=residual,
         norm_on_G=norm_on_G,
         zg_norm_on_G=zg_norm_on_G,

@@ -16,6 +16,9 @@ rather than in the package.  Each keeps the guards it had there:
 * the Runge fit on samples: Vandermonde with Arnoldi on the 2m fit
   points and a least-squares solve over them, the route that
   `runge_fit` replaces by the circles' Taylor coefficients;
+* Vandermonde with Arnoldi on those coefficients in complex arithmetic
+  about the center itself, the route that `_arnoldi_taylor` replaces by
+  a real build about |center| and a phase twist;
 * the sign-indefiniteness certificate on a polar sample grid of its
   patch, the route that `sign_indefiniteness_certificate` replaces by
   comparing the patch radius with sqrt(2) y3.
@@ -260,6 +263,45 @@ def arnoldi_on_points(z: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
             H[: k + 1, k] += h
         H[k + 1, k] = np.linalg.norm(v) / math.sqrt(count)
         Q[k + 1] = v / H[k + 1, k]
+    return Q, H
+
+
+def complex_arnoldi_taylor(center: complex, rho: float, radius: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vandermonde with Arnoldi on two circles' scaled Taylor coefficients, in complex arithmetic.
+
+    The layout and contract of nrtlab.indicator._arnoldi_taylor: row k of
+    Q holds q_k's coefficients about the center, in w with z = center +
+    rho w, at Q[k, 2n], and about 0, in w with z = radius w, at
+    Q[k, 2n + 1]; every row has squared norm 2.  Multiplying by z maps
+    a_n -> center a_n + rho a_{n-1} and b_n -> radius b_{n-1}.  Each step
+    is block classical Gram-Schmidt with one reorthogonalisation, with
+    the complex center in every product.
+    """
+    size = 2 * (order + 1)
+    diagonal = np.zeros(size, dtype=complex)
+    diagonal[0::2] = center
+    step = np.empty(size - 2)
+    step[0::2] = rho
+    step[1::2] = radius
+    Q = np.zeros((order + 1, size), dtype=complex)
+    # Row k of dual is conj(q_k) / 2, so dual @ v is the projection of v on the basis.
+    dual = np.zeros_like(Q)
+    H = np.zeros((order + 1, order), dtype=complex)
+    Q[0, :2] = 1.0
+    dual[0, :2] = 0.5
+    for k in range(order):
+        live = 2 * (k + 2)  # z q_k has degree k + 1
+        v = diagonal[:live] * Q[k, :live]
+        v[2:] += step[: live - 2] * Q[k, : live - 2]
+        basis, duals = Q[: k + 1, :live], dual[: k + 1, :live]
+        h = duals @ v
+        v -= h @ basis
+        again = duals @ v
+        v -= again @ basis
+        H[: k + 1, k] = h + again
+        H[k + 1, k] = math.sqrt(np.vdot(v, v).real / 2.0)
+        Q[k + 1, :live] = v / H[k + 1, k]
+        dual[k + 1, :live] = Q[k + 1, :live].conj() / 2.0
     return Q, H
 
 

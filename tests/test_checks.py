@@ -10,6 +10,7 @@ it there, against the trapezoid rule on the outer circle r = R.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from nrtlab.checks import (
     ENCLOSURE_NODES,
     MAX_TAU,
     SignField,
+    certificate_margin,
     enclosure_bound,
     enclosure_closed_form,
     enclosure_indicator,
@@ -202,6 +204,28 @@ def test_certificate_agrees_with_the_polar_grid_reference():
     # there, so it finds no positive one inside the patch.
     assert misses == [(1e100, j, -1.0) for j in range(1, 16)]
     assert sign_indefiniteness_certificate([0.2, 0.1, 0.05], 1.0) == polar_grid_certificate([0.2, 0.1, 0.05], 1.0)
+
+
+@pytest.mark.parametrize("patch", [1.0, 0.3, 1e-3, 1e-100])
+def test_certificate_decides_a_rounding_tie_exactly(patch):
+    # y3 = fl(patch / sqrt(2)) lies below patch / sqrt(2), so patch^2 > 2 y3^2
+    # holds exactly, yet the rounded patch - sqrt(2) y3 reads 0.
+    y3 = patch / math.sqrt(2.0)
+    assert patch != 1.0 or y3 == 0.7071067811865475
+    assert patch - math.sqrt(2.0) * y3 <= 0.0
+    assert 2 * Fraction(y3) ** 2 < Fraction(patch) ** 2
+    assert sign_indefiniteness_certificate([y3], patch)
+    assert certificate_margin(y3, patch) > 0.0
+    # One unit of y3 higher, both read False.
+    above = math.nextafter(y3, math.inf)
+    assert not sign_indefiniteness_certificate([above], patch)
+    assert certificate_margin(above, patch) < 0.0
+
+
+def test_certificate_margin_is_the_rounded_difference_away_from_ties():
+    for y3, patch in [(0.2, 1.0), (0.2, 0.01), (0.2, 1e300), (1e-300, 1e-290), (5e-324, 1.0), (1e300, 1e-300)]:
+        assert certificate_margin(y3, patch) == patch - math.sqrt(2.0) * y3
+        assert (certificate_margin(y3, patch) > 0.0) == sign_indefiniteness_certificate([y3], patch)
 
 
 def test_certificate_preconditions():

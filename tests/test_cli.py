@@ -248,19 +248,29 @@ def test_runge_certifies_the_pairing_at_t_1e_20(tmp_path, capsys):
     assert not any(line.startswith("t=1e-20") for line in summary["failures"])
 
 
+@pytest.mark.filterwarnings("error")
 def test_runge_pairings_do_not_depend_on_the_boundary_radius(tmp_path):
     # The pairing is -2 pi dx P(0) and the fit never uses R, so the run
-    # passes even where the gap trace's R^-2 underflows (R > ~1e154).
-    summaries = {}
-    for radius in (2.0, 1e155, 1e300):
+    # passes even where the gap trace's R^-2 underflows (R > ~1e154), up
+    # to float max, where R dx P(0) and |R e^{i theta}| overflow.
+    summaries, rows = {}, {}
+    radii = (2.0, 1e155, 1e300, sys.float_info.max)
+    for radius in radii:
         path = tmp_path / f"cfg{radius:g}.json"
         path.write_text(json.dumps({"boundary_radius": radius}))
         out = tmp_path / f"out{radius:g}"
         assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_OK
         summaries[radius] = json.loads((out / "runge.json").read_text())["summary"]
-    for radius in (1e155, 1e300):
+        rows[radius] = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+    for radius in radii[1:]:
         assert summaries[radius]["pairings"] == summaries[2.0]["pairings"]
         assert summaries[radius]["scaled_values"] == summaries[2.0]["scaled_values"]
+    # Far out, log10 max |P| on r = R grows by N = 32 per decade of R.
+    order = summaries[2.0]["order"]
+    for top, below in zip(rows[sys.float_info.max], rows[1e300], strict=True):
+        assert math.isfinite(float(top["log10_max_g"]))
+        growth = float(top["log10_max_g"]) - float(below["log10_max_g"])
+        np.testing.assert_allclose(growth, order * math.log10(sys.float_info.max / 1e300), rtol=1e-9)
 
 
 def test_runge_json_holds_convergence_table(tmp_path):
@@ -476,6 +486,17 @@ def test_huge_sign_patch_radius_is_a_valid_run(tmp_path):
         summary = json.loads((out / "sign-map.json").read_text())["summary"]
         assert summary["certificate"] is True
         assert summary["certificate_margin"] == patch - math.sqrt(2.0) * 0.2
+
+
+def test_sign_map_certifies_a_rounding_tie(tmp_path):
+    # fl(1 / sqrt(2)) is below 1 / sqrt(2), so the patch of radius 1 certifies,
+    # though 1 - sqrt(2) fl(1 / sqrt(2)) rounds to 0.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"y3_values": [0.7071067811865475], "sign_patch_radius": 1.0}))
+    out = tmp_path / "out"
+    assert main(["sign-map", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "sign-map.json").read_text())["summary"]
+    assert summary["certificate"] is True and summary["certificate_margin"] > 0.0
 
 
 def test_sign_map_fails_on_a_moved_zero_circle(tmp_path, monkeypatch, capsys):

@@ -11,6 +11,7 @@ makes the Gram matrix exactly diagonal in that configuration, which
 pins the sup down to a hand-computable number.
 """
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -37,7 +38,7 @@ from nrtlab.indicator import (
     sup_indicator,
     validate_orders,
 )
-from reference import h1_inner, point_space_runge_fit, scaled_sequence
+from reference import complex_arnoldi_taylor, h1_inner, point_space_runge_fit, scaled_sequence
 
 R = 2.0
 EPS = 1e-3
@@ -511,6 +512,57 @@ def test_runge_least_squares_is_an_isometry_off_three_directions(center, rho, t,
     closed = np.sort(np.concatenate([np.ones(2 * order - 2), np.sqrt([2.0, 1.0 + s, max(1.0 - s, 0.0)])]))
     assert_allclose(np.sort(np.linalg.svd(A, compute_uv=False)), closed, rtol=0.0, atol=1e-13)
     assert_allclose(Q[:, 0] + Q[:, 1], 2.0 * np.eye(order + 1)[0], rtol=0.0, atol=1e-14)
+
+
+# Centers at angles 0, pi/6, pi/2, 2pi/3, pi and -pi/2 about the origin,
+# and one a tiny angle off the real axis, each at distance 1.3.
+ROTATED_CENTERS = [
+    complex(1.3, 0.0),
+    cmath.rect(1.3, math.pi / 6),
+    complex(0.0, 1.3),
+    cmath.rect(1.3, 2 * math.pi / 3),
+    complex(-1.3, 0.0),
+    complex(0.0, -1.3),
+    complex(1.3, 1.3e-300),
+]
+
+
+@pytest.mark.parametrize("order", [1, 8, 32, 96])
+@pytest.mark.parametrize("center", ROTATED_CENTERS)
+def test_arnoldi_taylor_rotated_build_matches_the_complex_reference(center, order):
+    # The real build about |c| twisted by phases is the complex build about c.
+    from nrtlab.indicator import _arnoldi_taylor
+
+    rho, radius = 0.25, 0.25
+    Q, H = _arnoldi_taylor(center, rho, radius, order)
+    Q_ref, H_ref = complex_arnoldi_taylor(center, rho, radius, order)
+    assert float(np.max(np.abs(Q - Q_ref))) <= 1e-13
+    assert float(np.max(np.abs(H - H_ref))) <= 1e-13
+    assert float(np.max(np.abs(Q @ Q.conj().T - 2.0 * np.eye(order + 1)))) <= 1e-14
+    assert np.all(np.diag(H, -1).imag == 0.0) and np.all(np.diag(H, -1).real > 0.0)
+    # z q_k = sum_j H[j, k] q_j, with z acting on the coefficients as the bidiagonal map.
+    shifted = np.zeros_like(Q[:order])
+    shifted[:, 0::2] = center * Q[:order, 0::2]
+    shifted[:, 2::2] += rho * Q[:order, 0:-2:2]
+    shifted[:, 3::2] += radius * Q[:order, 1:-2:2]
+    assert float(np.max(np.abs(shifted - H.T @ Q))) <= 1e-14 * max(1.0, abs(center))
+
+
+@pytest.mark.parametrize("center", ROTATED_CENTERS)
+def test_arnoldi_taylor_is_bitwise_stable(center):
+    # Row k and H's column k depend on k alone, so the order-96 build
+    # holds the order-8 build bit for bit, and a call repeats its bits.
+    from nrtlab.indicator import _arnoldi_taylor
+
+    Q, H = _arnoldi_taylor(center, 0.2, 0.25, MAX_RUNGE_ORDER)
+    Q8, H8 = _arnoldi_taylor(center, 0.2, 0.25, 8)
+    assert np.array_equal(Q[:9, :18], Q8) and np.all(Q[:9, 18:] == 0.0)
+    assert np.array_equal(H[:9, :8], H8) and np.all(H[9:, :8] == 0.0)
+    again = _arnoldi_taylor(center, 0.2, 0.25, MAX_RUNGE_ORDER)
+    assert np.array_equal(Q, again[0]) and np.array_equal(H, again[1])
+    if center.imag == 0.0 and center.real > 0.0:
+        assert Q.dtype == H.dtype == complex
+        assert np.all(Q.imag == 0.0) and np.all(H.imag == 0.0)
 
 
 def test_runge_fit_runs_one_recurrence_off_the_fit_points(monkeypatch):
