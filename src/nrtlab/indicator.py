@@ -32,7 +32,6 @@ for curves of indicator values.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,9 +61,10 @@ MAX_SWEEP_ORDER = 1024
 # coefficients per circle, so its arrays grow like N^2 and its time like
 # N^3 (N real Arnoldi steps about |c| on rows of 2(N + 1) coefficients
 # against up to N + 1 rows, then one complex phase twist; the least
-# squares costs O(N^2) through the orthonormal basis); E_t's FFT and the
-# bound take m = 4N + 16 and 4m samples.  The cap bounds both.
+# squares costs O(N^2) through the orthonormal basis); E_t's modes past
+# N take at most TAIL_TERMS terms per circle.  The caps bound both.
 MAX_RUNGE_ORDER = 96
+TAIL_TERMS = 4096
 # Unit roundoff times 2, the spacing of float64 at 1.
 FLOAT_EPS = float(np.finfo(float).eps)
 # blow_up_diagnostic's bars on the fitted slope of log(value) and its R^2.
@@ -446,7 +446,7 @@ class RungeFit:
     origin.  residual is the H1
     misfit of P against E_t over G and B, norm_on_G and zg_norm_on_G the
     H1(G) norms of E_t and of P.  pairing_bound bounds the relative error
-    of l(g) against 2 pi / t.  n_retained is the rank of the
+    of l(g) against 2 pi / t (see runge_fit).  n_retained is the rank of the
     least-squares matrix under lstsq's rule, out of 2 order + 1 columns:
     its 2 order - 2 singular values equal to 1 and those of its other
     three that the rule keeps (see _least_squares).
@@ -489,7 +489,8 @@ class RungeFit:
         log stays finite where P itself would overflow.  R enters as its
         mantissa times 2**e, so the points stay finite up to R = float max.
         """
-        circle = _bound_circle(self.order)[::4]
+        m = 4 * self.order + 16
+        circle = np.exp(2j * np.pi * np.arange(m) / m)
         mantissa, scale = math.frexp(self.boundary_radius)
         values, exponent = _arnoldi_real_part(self.H, self.coeff, mantissa * circle, scale)
         return exponent * math.log10(2.0) + math.log10(float(np.max(np.abs(values))))
@@ -646,29 +647,28 @@ def _least_squares(Q: np.ndarray, target: np.ndarray, rcond: float) -> tuple[np.
     return coeff, 2 * width - 4 + int(np.count_nonzero(keep))
 
 
-def _h1_weights(rho: float, size: int) -> np.ndarray:
-    """Weights w_n with ||h||^2_{H1(disk(c, rho))} = sum_n w_n |coeffs[n]|^2 (see runge_fit).
+def _h1_weights(rho: float, q: float, order: int) -> tuple[np.ndarray, float]:
+    """Weights w_n, n <= N, with ||h||^2_{H1(disk(c, rho))} = sum_n w_n |h_n|^2, and E_t's modes past N.
 
-    For the harmonic h with trace Re sum_n coeffs[n] e^{in theta} and
-    coeffs[0] real, a_0 = coeffs[0] and a_n^2 + b_n^2 = |coeffs[n]|^2 for
-    the trace's cosine and sine coefficients, and
-    ||h||^2 = pi rho^2 a_0^2 + pi sum_{n>=1} (a_n^2 + b_n^2)(n + rho^2 / (2 (n + 1))).
+    For h = Re sum_n h_n w^n with h_0 real, w_0 = pi rho^2 and w_n =
+    pi (n + rho^2 / (2 (n + 1))).  The second value is sum_{n>N} w_n q^n / n^2
+    for E_t's |e_n|^2 = q^n / n^2 (see runge_fit): a Dirichlet part pi q^n / n
+    and an L2 part pi rho^2 q^n / (2 n^2 (n + 1)), both falling like q^n,
+    so past count terms, q^count <= u (1 - q) for the unit roundoff u, the
+    rest is below u times the first.  Where count reaches TAIL_TERMS
+    (q > 0.98996), the sum stops at M = N + TAIL_TERMS and the Dirichlet
+    part's rest is added in closed form, pi (-log1p(-q) - sum_{n<=M} q^n / n),
+    while the L2 part's is below pi rho^2 / (4 M^2).
     """
-    n = np.arange(size)
+    count = min(math.ceil(math.log(0.5 * FLOAT_EPS * (1.0 - q)) / math.log(q)), TAIL_TERMS) if q > 0.0 else 0
+    n = np.arange(order + count + 1.0)
     weight = np.pi * (n + rho * rho / (2.0 * (n + 1.0)))
     weight[0] = np.pi * rho * rho
-    return weight
-
-
-@functools.lru_cache(maxsize=None)
-def _bound_circle(order: int) -> np.ndarray:
-    # The 4m = 16N + 64 points of the unit circle on which a fit at order N
-    # takes its bound.  Every fourth one gives the m-point circle of E_t's
-    # samples and log10_max_g, as the same floats as exp(2 pi i k / m).
-    # One read-only array per order: 25.6 KB at the largest, 1.3 MB for all.
-    circle = np.exp(2j * np.pi * np.arange(16 * order + 64) / (16 * order + 64))
-    circle.flags.writeable = False
-    return circle
+    past = n[order + 1 :]
+    tail = q**past / past**2 @ weight[order + 1 :]
+    if count == TAIL_TERMS:
+        tail += np.pi * (-math.log1p(-q) - q ** n[1:] @ (1.0 / n[1:]))
+    return weight[: order + 1], tail
 
 
 def runge_fit(
@@ -682,90 +682,83 @@ def runge_fit(
     P = Re p for a complex polynomial p of degree <= N, the real least
     squares fit to E_t on m = 4N + 16 equispaced points on each of the
     circles bounding G and the ball B = B_{t/2}(0), in the Arnoldi basis
-    of those 2m points.  The fit runs on each circle's N + 1 scaled Taylor
-    coefficients instead of its m samples: on a circle the m-point
-    trapezoid rule is exact for every product of degree <= 2N < m
-    (Trefethen and Weideman, SIAM Review 56(3), 2014), so by discrete
-    Parseval the sum of squares over the 2m points is m times a sum over
-    the coefficients.  The basis is _arnoldi_taylor's, and E_t's
-    coefficients come from one real FFT of its m samples per circle; the
-    sum of squares m [(Re A_0 - e_0)^2 + sum_{n=1..N} |A_n - e_n|^2 / 2]
-    per circle, for P's coefficients A_n (B_n on the ball) against E_t's
-    e_n, is a (4N + 2) x (2N + 1) least-squares problem instead of
-    2m x (2N + 1).
-    Its singular values are those of the point-space matrix over sqrt(m),
-    so rcond = eps 2m keeps that matrix's rank rule.  The basis is
-    orthonormal, so all but three of them are 1 and _least_squares solves
-    it in O(N^2) through Q, without forming the matrix.  m itself only
-    sets E_t's FFT and the 4m bound samples.
+    of those 2m points.  On a circle the m-point trapezoid rule is exact
+    for every product of degree <= 2N < m (Trefethen and Weideman, SIAM
+    Review 56(3), 2014), so the fit runs on each circle's N + 1 scaled
+    Taylor coefficients in _arnoldi_taylor's basis: the sum of squares is
+    m [(Re A_0 - e_0)^2 + sum_{n=1..N} |A_n - e_n|^2 / 2] per circle, for
+    P's coefficients A_n (B_n on the ball) and E_t's e_n, whose closed
+    forms follow from log|d + rho w| = log|d| + Re log(1 + rho w / d):
+        on G, z = c + rho w, d = c - t:  e_0 = log|d|, e_n = -(-rho / d)^n / n;
+        on B, z = (t / 2) w:             e_0 = log t,  e_n = -2^-n / n.
+    The (4N + 2) x (2N + 1) problem has the point-space singular values
+    over sqrt(m), so rcond = eps 2m keeps lstsq's rank rule; m sets only
+    that and log10_max_g's points.  All but three singular values are 1,
+    and _least_squares solves it in O(N^2) through Q.
 
-    t e1 lies outside both closed disks, so P - E_t is harmonic on each
-    and its boundary coefficients control it: they give the H1 norms, and
-    since dx (P - E_t)(0) is the Poisson average of (P - E_t) cos(theta)
-    over the circle of B, the relative pairing error is at most
-    (8 / pi) max |P - E_t| on that circle, taken on 4m points, where P's
-    values come from one inverse FFT of its coefficients about 0.  Those
-    coefficients also give P(0) = Re B_0 and p'(0) = B_1 / (t / 2).
-    Preconditions keep the singular point t e1 away from both disks: it
-    must lie strictly outside the cavity closure, and the cavity must stay
-    outside the closed ball of radius t about the origin.  Requires t < R
-    so the probe point stays inside the ambient disk.
+    t e1 lies outside both closed disks, so P - E_t is harmonic on each,
+    with coefficients A_n - e_n up to N and E_t's own beyond, |e_n|^2 =
+    q^n / n^2 for q = (rho / |d|)^2 on G and 1/4 on B: _h1_weights sums
+    every mode.  dx (P - E_t)(0) is the Poisson average of (P - E_t) cos(theta)
+    over the circle of B, so the pairing -2 pi dx P(0) is off 2 pi / t by
+    at most (8 / pi) max |P - E_t| there, relatively, and
+        max |P - E_t| <= sum_{n <= N} |B_n - e_n| + sum_{n > N} 2^-n / n,
+    with Re B_0 for B_0 and the tail at most 2^-N / (N + 1) (a geometric
+    series; log 2 less the head would cancel).  pairing_bound adds, as
+    2 (N + 4) u, gamma_{N+4} = (N + 4) u / (1 - (N + 4) u) times the sum,
+    sum |e_n| < |log t| + 1 and sum_k |coeff[k]| sum_n |Q[k, 2n + 1]| <=
+    sqrt(2 (N + 1)) sum |coeff| (rows of squared norm 2): the rounding of
+    B_n's dot products and of the sum.  P(0) = Re B_0 and p'(0) = B_1 / (t / 2).
+    Preconditions keep t e1 strictly outside the cavity closure, the
+    cavity outside the closed ball of radius t, and t < R.
     """
     validate_admissible(cavity, boundary_radius)
     if not (0.0 < t < boundary_radius):
         raise ValueError(f"probe distance must satisfy 0 < t < {boundary_radius}, got {t}")
     if not 1 <= order <= MAX_RUNGE_ORDER:
         raise ValueError(f"cutoff order must be in [1, {MAX_RUNGE_ORDER}], got {order}")
-    point = (float(t), 0.0)
-    gap = np.hypot(point[0] - cavity.center[0], point[1] - cavity.center[1])
-    if gap <= cavity.radius:
+    d = complex(*cavity.center) - t
+    if abs(d) <= cavity.radius:
         raise ValueError(
-            f"singular point {point} lies inside the cavity closure "
+            f"singular point {(float(t), 0.0)} lies inside the cavity closure "
             f"disk(center={cavity.center}, radius={cavity.radius})"
         )
-    center_dist = np.hypot(cavity.center[0], cavity.center[1])
-    if center_dist <= t + cavity.radius:
+    if math.hypot(*cavity.center) <= t + cavity.radius:
         raise ValueError(
             f"cavity disk(center={cavity.center}, radius={cavity.radius}) meets the closed "
             f"ball of radius {t} about the origin; move the cavity or shrink t"
         )
     t = float(t)
-    R = float(boundary_radius)
     ball = DiskRegion((0.0, 0.0), 0.5 * t)
     width = order + 1
     m = 4 * order + 16
-    fine_circle = _bound_circle(order)
-    circle = fine_circle[::4]
-    z = np.empty((2, m), dtype=complex)
-    np.add(complex(*cavity.center), cavity.radius * circle, out=z[0])
-    np.multiply(ball.radius, circle, out=z[1])
-    # E_t = Re sum_n e_n w^n on each circle, for the modes n < m / 2 the samples resolve.
-    probe = np.fft.rfft(np.log(np.abs(z - t)), axis=-1)[:, : m // 2] / m
-    probe[:, 1:] *= 2.0
+    # E_t's Taylor coefficients e_n, n <= N, about the center (row 0) and about 0 (row 1).
+    n = np.arange(1, width)
+    probe = np.empty((2, width), dtype=complex)
+    probe[0, 0], probe[1, 0] = math.log(abs(d)), math.log(t)
+    probe[0, 1:] = -((-cavity.radius / d) ** n) / n
+    probe[1, 1:] = -np.ldexp(1.0, -n) / n
 
     Q, H = _arnoldi_taylor(complex(*cavity.center), cavity.radius, ball.radius, order)
     # Each mode's entry is weighted by its share of the sum of squares:
     # Re A_0 of each circle gives one row, Re and Im A_n, n >= 1, two of weight 1/2.
     scale = np.full(2 * width, math.sqrt(0.5))
     scale[:2] = 1.0
-    coeff, rank = _least_squares(Q * scale, probe[:, :width].T.ravel() * scale, FLOAT_EPS * 2 * m)
+    coeff, rank = _least_squares(Q * scale, probe.T.ravel() * scale, FLOAT_EPS * 2 * m)
 
     # P's coefficients A_n about the center and B_n about 0; P = Re p, so
     # only the real parts of A_0 and B_0 are P's.
     fitted = (coeff @ Q).reshape(width, 2).T
     fitted[:, 0] = fitted[:, 0].real
-    misfit = probe.copy()
-    misfit[:, :width] -= fitted
-    on_G = _h1_weights(cavity.radius, m // 2)
-    on_B = _h1_weights(ball.radius, m // 2)
-    residual = math.sqrt(np.abs(misfit[0]) ** 2 @ on_G + np.abs(misfit[1]) ** 2 @ on_B)
-    zg_norm_on_G = math.sqrt(np.abs(fitted[0]) ** 2 @ on_G[:width])
-    norm_on_G = math.sqrt(np.abs(probe[0]) ** 2 @ on_G)
-
-    fine = ball.radius * fine_circle
-    # Unscaled, irfft sums X_0 + 2 Re sum_n X_n e^{in theta}, so X_n = B_n / 2 for n >= 1.
-    on_fine = np.fft.irfft(np.concatenate([fitted[1, :1], 0.5 * fitted[1, 1:]]), 4 * m, norm="forward")
-    pairing_bound = 8.0 / np.pi * float(np.max(np.abs(on_fine - np.log(np.abs(fine - t)))))
+    misfit = np.abs(fitted - probe)
+    on_G, tail_G = _h1_weights(cavity.radius, (cavity.radius / abs(d)) ** 2, order)
+    on_B, tail_B = _h1_weights(ball.radius, 0.25, order)
+    residual = math.sqrt(misfit[0] ** 2 @ on_G + tail_G + misfit[1] ** 2 @ on_B + tail_B)
+    zg_norm_on_G = math.sqrt(np.abs(fitted[0]) ** 2 @ on_G)
+    norm_on_G = math.sqrt(np.abs(probe[0]) ** 2 @ on_G + tail_G)
+    on_ball = float(np.sum(misfit[1]))
+    sizes = on_ball + abs(math.log(t)) + 1.0 + math.sqrt(2.0 * width) * float(np.sum(np.abs(coeff)))
+    pairing_bound = 8.0 / np.pi * (on_ball + math.ldexp(1.0, -order) / width + (order + 4) * FLOAT_EPS * sizes)
 
     dp0 = fitted[1, 1] / ball.radius
     return RungeFit(
@@ -773,7 +766,7 @@ def runge_fit(
         cavity=cavity,
         ball=ball,
         order=order,
-        boundary_radius=R,
+        boundary_radius=float(boundary_radius),
         p0=float(fitted[1, 0].real),
         dx_p0=float(dp0.real),
         dy_p0=float(-dp0.imag),

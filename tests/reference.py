@@ -15,7 +15,8 @@ rather than in the package.  Each keeps the guards it had there:
   as -2 pi dx P(0) times the same scale;
 * the Runge fit on samples: Vandermonde with Arnoldi on the 2m fit
   points and a least-squares solve over them, the route that
-  `runge_fit` replaces by the circles' Taylor coefficients;
+  `runge_fit` replaces by the circles' Taylor coefficients and E_t's
+  closed-form ones;
 * Vandermonde with Arnoldi on those coefficients in complex arithmetic
   about the center itself, the route that `_arnoldi_taylor` replaces by
   a real build about |center| and a phase twist;
@@ -340,23 +341,26 @@ class PointSpaceFit:
     pairing_bound: float
 
 
-def point_space_runge_fit(t: float, cavity: DiskRegion, order: int) -> PointSpaceFit:
+def point_space_runge_fit(t: float, cavity: DiskRegion, order: int, samples: int | None = None) -> PointSpaceFit:
     """The Runge fit of E_t = log|x - t e1| on samples, the reference for runge_fit's fit on coefficients.
 
-    Vandermonde with Arnoldi on the m = 4N + 16 equispaced points of each
-    of the circles bounding G and B = B(0, t/2), real least squares over
-    those 2m points with numpy's default rank rule, H1 norms from one FFT
-    of the fitted samples per circle, the bound's 4m samples on the circle
-    of B by zero-padding that circle's FFT, and p'(0) through H's
-    recurrence.  The caller keeps t e1 off both closed disks.
+    Vandermonde with Arnoldi on m equispaced points of each of the circles
+    bounding G and B = B(0, t/2), m = 4N + 16 unless samples says
+    otherwise, real least squares over those 2m points with the rank rule
+    of m = 4N + 16, rcond = eps 2 (4N + 16), H1 norms from one FFT of the
+    fitted samples per circle, the sampled max (8 / pi) max |P - E_t| over
+    4m points on the circle of B by zero-padding that circle's FFT, and
+    p'(0) through H's recurrence.  E_t's modes m - n alias onto mode n of
+    the samples, so m well above 4N + 16 brings the fit to the exact one.
+    The caller keeps t e1 off both closed disks.
     """
-    m = 4 * order + 16
+    m = 4 * order + 16 if samples is None else samples
     circle = np.exp(2j * np.pi * np.arange(m) / m)
     z = np.concatenate([complex(*cavity.center) + cavity.radius * circle, 0.5 * t * circle])
     probe = np.log(np.abs(z - t))
     Q, H = arnoldi_on_points(z, order)
     A = np.concatenate([Q.real, -Q[1:].imag]).T
-    x, _, rank, _ = np.linalg.lstsq(A, probe, rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(A, probe, rcond=np.finfo(float).eps * 2 * (4 * order + 16))
     coeff = x[: order + 1] + 1j * np.concatenate([[0.0], x[order + 1 :]])
     fitted = A @ x
     on_G = _sampled_h1_norm_sq(fitted[:m] - probe[:m], cavity.radius)

@@ -694,3 +694,18 @@ def test_cli_imports_numpy_only():
     code = "import sys, nrtlab.cli; print(sorted({'scipy', 'mpmath', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
     assert proc.stdout.strip() == "[]"
+
+
+def test_runge_run_loads_no_fft(tmp_path):
+    # The Runge fit takes E_t's Taylor coefficients in closed form, so a
+    # whole default `python -m nrtlab.cli runge` never loads numpy.fft.
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['nrtlab.cli', 'runge', '--out', {str(tmp_path / 'out')!r}]\n"
+        "try:\n"
+        "    runpy.run_module('nrtlab.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    print(done.code, 'numpy.fft' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
