@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-# Relative tolerance for deciding whether a point sits on a circle.
-BOUNDARY_RTOL = 1e-9
 
 
 def as_points(points) -> tuple[np.ndarray, bool]:
@@ -55,20 +54,50 @@ class DiskRegion:
         object.__setattr__(self, "center", (cx, cy))
         object.__setattr__(self, "radius", radius)
 
-    def classify_origin(self, tol: float = BOUNDARY_RTOL) -> OriginLocation:
-        """Classify the origin as inside, outside or on the boundary circle.
-
-        The tolerance band ``|dist - radius| <= tol * max(1, radius)`` is
-        treated as the boundary, so near-tangent configurations fail loudly
-        instead of silently landing on either side.
-        """
-        d = np.hypot(self.center[0], self.center[1])
-        band = tol * max(1.0, self.radius)
-        if d < self.radius - band:
+    def classify_origin(self) -> OriginLocation:
+        """Classify the origin as inside, outside or on the boundary circle, exactly (see power_sign)."""
+        sign = power_sign((0.0, 0.0), self.center, self.radius)
+        if sign < 0:
             return OriginLocation.INSIDE
-        if d > self.radius + band:
+        if sign > 0:
             return OriginLocation.OUTSIDE
         return OriginLocation.BOUNDARY
+
+
+def point_power(point, center, *radii) -> tuple[int, int]:
+    """|point - center|^2 - (sum of radii)^2, exactly, as integers (numerator, denominator).
+
+    This is the power of point with respect to the circle about center
+    whose radius is the exact sum of the radii: negative inside, 0 on
+    the circle, positive outside.  Every finite float is a / b with b a
+    power of two (float.as_integer_ratio), so each input is an integer
+    over the largest such b, D, and the result an integer over D^2, with
+    no rounding anywhere.  Non-finite inputs raise.
+    """
+    ratios = list(map(float.as_integer_ratio, map(float, (*point, *center, *radii))))
+    scale = max(map(operator.itemgetter(1), ratios))
+    px, py, cx, cy, *rs = [a * (scale // b) for a, b in ratios]
+    return (px - cx) ** 2 + (py - cy) ** 2 - sum(rs) ** 2, scale * scale
+
+
+def power_sign(point, center, *radii) -> int:
+    """The sign of point_power(point, center, *radii), -1, 0 or 1, exactly.
+
+    The float evaluation v = dx^2 + dy^2 - s^2 decides it where
+    |v| > 8 u m + 2^-1070, m = dx^2 + dy^2 + s^2 in floats, u = 2^-53:
+    dx, dy and s = sum(radii) (one or two terms) are off by u relatively,
+    each square by 3u more and 2^-1075 once subnormal, the sum and the
+    difference by u of their size, so v is off by less than 5.1 u m plus
+    five subnormal roundings.  Elsewhere, and where a square overflows,
+    point_power decides.
+    """
+    px, py, cx, cy, s = map(float, (*point, *center, sum(radii)))
+    dx, dy = px - cx, py - cy
+    v = dx * dx + dy * dy - s * s
+    if abs(v) > 2.0**-50 * (dx * dx + dy * dy + s * s) + 2.0**-1070:
+        return 1 if v > 0.0 else -1
+    power = point_power(point, center, *radii)[0]
+    return (power > 0) - (power < 0)
 
 
 @dataclass(frozen=True)
@@ -134,20 +163,19 @@ def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: 
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def validate_admissible(cavity: DiskRegion, boundary_radius: float, tol: float = BOUNDARY_RTOL) -> None:
+def validate_admissible(cavity: DiskRegion, boundary_radius: float) -> None:
     """Check that a cavity disk sits strictly inside the ambient disk.
 
     The ambient domain is the disk of radius boundary_radius about the
     origin.  For a disk cavity strictly inside it the complement is
-    automatically connected, so only the inclusion needs checking.
-    Raises ValueError when the closure of the cavity touches or crosses
-    the ambient boundary.
+    automatically connected, so only the inclusion needs checking:
+    rho < R and |c|^2 < (R - rho)^2, decided exactly (see power_sign).
+    Raises ValueError for a non-finite or non-positive R, and when the
+    closure of the cavity touches or crosses the ambient boundary.
     """
-    if boundary_radius <= 0.0:
-        raise ValueError(f"ambient radius must be positive, got {boundary_radius}")
-    d = np.hypot(cavity.center[0], cavity.center[1])
-    margin = tol * max(1.0, boundary_radius)
-    if d + cavity.radius >= boundary_radius - margin:
+    if not (math.isfinite(boundary_radius) and boundary_radius > 0.0):
+        raise ValueError(f"ambient radius must be positive and finite, got {boundary_radius}")
+    if not (cavity.radius < boundary_radius and power_sign((0.0, 0.0), cavity.center, boundary_radius, -cavity.radius) < 0):
         raise ValueError(
             f"cavity disk(center={cavity.center}, radius={cavity.radius}) is not strictly "
             f"inside the ambient disk of radius {boundary_radius}"

@@ -41,6 +41,8 @@ from .geometry import (
     DiskRegion,
     OriginLocation,
     build_disk_quadrature,
+    point_power,
+    power_sign,
     validate_admissible,
 )
 from .harmonic import (
@@ -402,7 +404,7 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
     if where is OriginLocation.BOUNDARY:
         raise OriginOnBoundaryError(
             f"boundary of disk(center={cavity.center}, radius={cavity.radius}) passes through "
-            f"the origin (within relative tolerance 1e-9); the sweep verdict is undefined there"
+            f"the origin; the sweep verdict is undefined there"
         )
     validate_admissible(cavity, boundary_radius)
     if not (np.isfinite(eps) and eps > 0.0):
@@ -416,8 +418,12 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
     if where is OriginLocation.INSIDE:
         n, log_rho, abs_c = orders[-1], math.log(cavity.radius), math.hypot(*cavity.center)
         log_q = 2.0 * (math.log(abs_c) - log_rho) if abs_c > 0.0 else -np.inf
-        q = math.exp(log_q)
-        tail = math.log(4.0 * np.pi) - 2.0 * log_rho + n * log_q + math.log((n + 1) - n * q) - 2.0 * math.log1p(-q)
+        # 1 - q = (rho^2 - |c|^2) / rho^2 from the exact power, rounded once: a
+        # rounded q reads 1 where the origin lies a unit inside the circle.
+        power, denom = point_power((0.0, 0.0), cavity.center, cavity.radius)
+        a, b = cavity.radius.as_integer_ratio()
+        gap = -power * b * b / (denom * a * a)
+        tail = math.log(4.0 * np.pi) - 2.0 * log_rho + n * log_q + math.log1p(n * gap) - 2.0 * math.log(gap)
         log_limit = np.logaddexp(log_sq[-1], tail)
     with np.errstate(over="ignore"):
         log_all = 0.5 * np.append(log_sq, log_limit)
@@ -647,7 +653,7 @@ def _least_squares(Q: np.ndarray, target: np.ndarray, rcond: float) -> tuple[np.
     return coeff, 2 * width - 4 + int(np.count_nonzero(keep))
 
 
-def _h1_weights(rho: float, q: float, order: int) -> tuple[np.ndarray, float]:
+def _h1_weights(rho: float, q: float, gap: float, order: int) -> tuple[np.ndarray, float]:
     """Weights w_n, n <= N, with ||h||^2_{H1(disk(c, rho))} = sum_n w_n |h_n|^2, and E_t's modes past N.
 
     For h = Re sum_n h_n w^n with h_0 real, w_0 = pi rho^2 and w_n =
@@ -657,17 +663,20 @@ def _h1_weights(rho: float, q: float, order: int) -> tuple[np.ndarray, float]:
     so past count terms, q^count <= u (1 - q) for the unit roundoff u, the
     rest is below u times the first.  Where count reaches TAIL_TERMS
     (q > 0.98996), the sum stops at M = N + TAIL_TERMS and the Dirichlet
-    part's rest is added in closed form, pi (-log1p(-q) - sum_{n<=M} q^n / n),
-    while the L2 part's is below pi rho^2 / (4 M^2).
+    part's rest is added in closed form, pi (-log(1 - q) - sum_{n<=M} q^n / n),
+    while the L2 part's is below pi rho^2 / (4 M^2).  gap is 1 - q, which
+    the caller takes from exact arithmetic: a unit from tangency the
+    rounded q can read 1.  Where gap rounds to 1, q <= u / 2 and one term
+    is enough.
     """
-    count = min(math.ceil(math.log(0.5 * FLOAT_EPS * (1.0 - q)) / math.log(q)), TAIL_TERMS) if q > 0.0 else 0
+    count = min(math.ceil(math.log(0.5 * FLOAT_EPS * gap) / math.log1p(-gap)), TAIL_TERMS) if gap < 1.0 else 1
     n = np.arange(order + count + 1.0)
     weight = np.pi * (n + rho * rho / (2.0 * (n + 1.0)))
     weight[0] = np.pi * rho * rho
     past = n[order + 1 :]
     tail = q**past / past**2 @ weight[order + 1 :]
     if count == TAIL_TERMS:
-        tail += np.pi * (-math.log1p(-q) - q ** n[1:] @ (1.0 / n[1:]))
+        tail += np.pi * (-math.log(gap) - q ** n[1:] @ (1.0 / n[1:]))
     return weight[: order + 1], tail
 
 
@@ -710,25 +719,26 @@ def runge_fit(
     sqrt(2 (N + 1)) sum |coeff| (rows of squared norm 2): the rounding of
     B_n's dot products and of the sum.  P(0) = Re B_0 and p'(0) = B_1 / (t / 2).
     Preconditions keep t e1 strictly outside the cavity closure, the
-    cavity outside the closed ball of radius t, and t < R.
+    cavity outside the closed ball of radius t, both decided exactly
+    (see power_sign), and t < R.
     """
     validate_admissible(cavity, boundary_radius)
     if not (0.0 < t < boundary_radius):
         raise ValueError(f"probe distance must satisfy 0 < t < {boundary_radius}, got {t}")
     if not 1 <= order <= MAX_RUNGE_ORDER:
         raise ValueError(f"cutoff order must be in [1, {MAX_RUNGE_ORDER}], got {order}")
-    d = complex(*cavity.center) - t
-    if abs(d) <= cavity.radius:
+    t = float(t)
+    if power_sign((t, 0.0), cavity.center, cavity.radius) <= 0:
         raise ValueError(
-            f"singular point {(float(t), 0.0)} lies inside the cavity closure "
+            f"singular point {(t, 0.0)} lies inside the cavity closure "
             f"disk(center={cavity.center}, radius={cavity.radius})"
         )
-    if math.hypot(*cavity.center) <= t + cavity.radius:
+    if power_sign((0.0, 0.0), cavity.center, t, cavity.radius) <= 0:
         raise ValueError(
             f"cavity disk(center={cavity.center}, radius={cavity.radius}) meets the closed "
             f"ball of radius {t} about the origin; move the cavity or shrink t"
         )
-    t = float(t)
+    d = complex(*cavity.center) - t
     ball = DiskRegion((0.0, 0.0), 0.5 * t)
     width = order + 1
     m = 4 * order + 16
@@ -751,8 +761,12 @@ def runge_fit(
     fitted = (coeff @ Q).reshape(width, 2).T
     fitted[:, 0] = fitted[:, 0].real
     misfit = np.abs(fitted - probe)
-    on_G, tail_G = _h1_weights(cavity.radius, (cavity.radius / abs(d)) ** 2, order)
-    on_B, tail_B = _h1_weights(ball.radius, 0.25, order)
+    # 1 - q on G is (|d|^2 - rho^2) / |d|^2 for d = c - t e1, from the exact power, rounded once.
+    power, denom = point_power((t, 0.0), cavity.center, cavity.radius)
+    a, b = cavity.radius.as_integer_ratio()
+    gap = power * b * b / (power * b * b + denom * a * a)
+    on_G, tail_G = _h1_weights(cavity.radius, (cavity.radius / abs(d)) ** 2, gap, order)
+    on_B, tail_B = _h1_weights(ball.radius, 0.25, 0.75, order)
     residual = math.sqrt(misfit[0] ** 2 @ on_G + tail_G + misfit[1] ** 2 @ on_B + tail_B)
     zg_norm_on_G = math.sqrt(np.abs(fitted[0]) ** 2 @ on_G)
     norm_on_G = math.sqrt(np.abs(probe[0]) ** 2 @ on_G + tail_G)

@@ -5,7 +5,8 @@ rather than in the package.  Each keeps the guards it had there:
 
 * point values of boundary data and harmonic series, and a series'
   trace on a circle, against the polar formulas typed out in the tests;
-* membership in a closed disk;
+* membership in a closed disk, and the power |p - c|^2 - s^2 of a point
+  in rational arithmetic, with a scan of floats next to a tie;
 * the logarithmic point source log|x - p|;
 * circle contours with their trapezoid rule, and the Green pairing on an
   interior circle, the second route to the boundary pairing on r = R;
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,6 +88,20 @@ def disk_contains(disk: DiskRegion, points, tol: float = 0.0):
     d = np.hypot(pts[:, 0] - disk.center[0], pts[:, 1] - disk.center[1])
     inside = d <= disk.radius + tol
     return bool(inside[0]) if single else inside
+
+
+def exact_power(point, center, *radii) -> Fraction:
+    """|point - center|^2 - (sum of radii)^2 in rational arithmetic."""
+    dx, dy = (Fraction(p) - Fraction(c) for p, c in zip(point, center))
+    return dx * dx + dy * dy - sum(map(Fraction, radii)) ** 2
+
+
+def near(x: float) -> list[float]:
+    """x, its neighbours up to two units away, and x moved by 1e-12 to 2e-9 relatively, across the old 1e-9 band."""
+    out = [x]
+    for _ in range(2):
+        out = [math.nextafter(out[0], -math.inf)] + out + [math.nextafter(out[-1], math.inf)]
+    return out + [x * (1.0 + s * f) for f in (1e-12, 1e-10, 5e-10, 1e-9, 2e-9) for s in (-1.0, 1.0)]
 
 
 @dataclass(frozen=True)

@@ -153,8 +153,8 @@ CONFIG_ERRORS = [
     ("enclosure", {"tau_values": [1.0 + k for k in range(MAX_TAU_VALUES + 1)]}),
     # No longer a config field: an unknown key.
     ("verify-identity", {"pairing_perturbation": 1.01}),
-    # Inside the ambient disk, but within validate_admissible's 1e-9 R margin.
-    ("indicator", {"regions": [{"center": [1.5, 0], "radius": 0.4999999999}]}),
+    # Touches the ambient circle r = R exactly: |c| + rho = 2.
+    ("indicator", {"regions": [{"center": [1.5, 0], "radius": 0.5}]}),
     ("indicator", {"regions": [{"shape": "square", "center": [0, 0], "radius": 1}]}),
     ("enclosure", {"tau_values": []}),
     # Subnormal: tau e^(-i phi) would lose bits that the sample's bound does not count.
@@ -551,6 +551,22 @@ def test_region_outside_ambient_is_config_error(tmp_path):
     assert main(["indicator", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize(
+    "region,t_values",
+    [
+        # t e1 exactly outside the cavity, where the rounded |c - t| equals rho.
+        ({"center": [0.75, 0.0], "radius": 0.6499999999999999}, [0.10000000000000003, 0.05, 0.025]),
+        # |c - t| / rho = 1 + 2^-50 at t = 0.5.
+        ({"center": [0.5 + 0.25 * (1.0 + 2.0**-50), 0.0], "radius": 0.25}, [0.5, 0.25, 0.125]),
+    ],
+)
+def test_runge_next_to_tangency_runs_without_traceback(tmp_path, capsys, region, t_values):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"runge_region": region, "t_values": t_values}))
+    assert main(["runge", "--config", str(config), "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_runge_geometry_violation_is_config_error(tmp_path):
     # Cavity meets the closed ball of radius t = 0.5 about the origin.
     config = tmp_path / "cfg.json"
@@ -608,6 +624,7 @@ def test_origin_just_inside_a_near_tangent_disk_is_bounded(tmp_path):
 
 def test_indicator_runs_on_tiny_disks(tmp_path, capsys):
     # rho^2 underflows below rho = 1.5e-162; the sweep works from log rho.
+    # Each centred disk holds the origin at its centre, so it sweeps Bounded.
     regions = [
         {"center": [0.5, 0], "radius": 1e-170},
         {"center": [0, 0], "radius": 1e-170},
@@ -621,7 +638,7 @@ def test_indicator_runs_on_tiny_disks(tmp_path, capsys):
         assert main(["indicator", "--config", str(config), "--out", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILED)
         summary = json.loads((out / "indicator.json").read_text())["summary"]
         verdicts = [region["verdict"] for region in summary["regions"]]
-        assert verdicts == ["BlowUp", "refused", "Bounded", "BlowUp"]
+        assert verdicts == ["BlowUp", "Bounded", "Bounded", "BlowUp"]
         for region in summary["regions"]:
             if region["verdict"] == "Bounded":
                 assert all(isinstance(v, float) for v in region["values"])

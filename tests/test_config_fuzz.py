@@ -36,8 +36,8 @@ distances = st.builds(
 )
 AMBIENT = cli.RunConfig().boundary_radius
 # Disks whose |c| + rho lies a relative 1e-12 to 1e-8 below the default
-# boundary_radius: inside the ambient disk, but within the library's
-# admissibility margin of 1e-9 R.
+# boundary_radius, where only exact arithmetic tells inside from touching:
+# admissible unless the rounding of these floats reaches r = R.
 near_margin_disks = st.builds(
     lambda share, angle, gap: {
         "center": [share * AMBIENT * (1.0 - gap) * math.cos(angle), share * AMBIENT * (1.0 - gap) * math.sin(angle)],
@@ -131,7 +131,7 @@ def test_load_config_returns_checked_fields_or_config_error(tmp_path, config):
 
 INDICATOR = ["boundary_radius", "eps", "strict", "regions", "orders"]
 # Indicator runs that get past the schema: one to three disks, some of
-# them within the admissibility margin.
+# them next to the ambient circle.
 indicator_runs = st.fixed_dictionaries({"regions": st.lists(disks, min_size=1, max_size=3)})
 ENCLOSURE = ["boundary_radius", "tau_values", "enclosure_phi"]
 RUNGE = ["boundary_radius", "t_values", "runge_order", "runge_region"]

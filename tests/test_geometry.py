@@ -1,5 +1,8 @@
 """Region predicates and quadrature exactness against polar closed forms."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,9 +14,11 @@ from nrtlab.geometry import (
     QuadratureRule,
     as_points,
     build_disk_quadrature,
+    point_power,
+    power_sign,
     validate_admissible,
 )
-from reference import CircleContour, build_contour_quadrature, disk_contains
+from reference import CircleContour, build_contour_quadrature, disk_contains, exact_power, near
 
 
 def test_as_points_shapes():
@@ -50,7 +55,7 @@ def test_disk_contains():
         ((0.2, 0.1), 0.5, OriginLocation.INSIDE),
         ((1.3, 0.0), 0.25, OriginLocation.OUTSIDE),
         ((0.5, 0.0), 0.5, OriginLocation.BOUNDARY),
-        ((0.5 + 1e-12, 0.0), 0.5, OriginLocation.BOUNDARY),
+        ((0.5 + 1e-12, 0.0), 0.5, OriginLocation.OUTSIDE),
     ],
 )
 def test_classify_origin(center, radius, expected):
@@ -143,6 +148,72 @@ def test_validate_admissible():
         validate_admissible(DiskRegion((0.0, 0.0), 2.5), 2.0)
     with pytest.raises(ValueError):
         validate_admissible(DiskRegion((0.0, 0.0), 0.5), -1.0)
+    for radius in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            validate_admissible(DiskRegion((0.3, 0.0), 0.5), radius)
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def test_point_power_is_exact():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        values = rng.uniform(-1.0, 1.0, 6) * 10.0 ** rng.integers(-300, 300, 6)
+        point, center, radii = values[:2], values[2:4], values[4:]
+        num, den = point_power(point, center, *radii)
+        assert Fraction(num, den) == exact_power(point, center, *radii)
+        assert power_sign(point, center, *radii) == sign(num)
+    assert point_power((0.0, 0.0), (0.5, 0.0), 0.5) == (0, 4)
+    with pytest.raises((ValueError, OverflowError)):
+        point_power((0.0, 0.0), (0.5, 0.0), float("inf"))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 5e-324, 1e160, 1e300])
+def test_power_sign_is_exact_where_floats_round_underflow_or_overflow(scale):
+    # Ties and their neighbours at scales where the squares underflow or
+    # overflow, so the float evaluation defers to the exact power.
+    for center in ([3.0 * scale, 4.0 * scale], [0.0, scale]):
+        radius = math.hypot(*center) if scale != 5e-324 else abs(center[1])
+        for cx in near(center[0]):
+            for rho in near(radius):
+                args = ((0.0, 0.0), (cx, center[1]), rho)
+                assert power_sign(*args) == sign(exact_power(*args)), (cx, rho)
+
+
+# Disks whose circle passes through the origin: exactly, but for the last, whose
+# rounded |c| equals rho with the origin a unit inside.
+TANGENT_DISKS = [((0.5, 0.0), 0.5), ((0.0, -0.3), 0.3), ((0.75, 1.0), 1.25), ((-3.0, 4.0), 5.0), ((0.29999999999999993, 0.0), 0.3)]
+
+
+@pytest.mark.parametrize("center,radius", TANGENT_DISKS)
+def test_classify_origin_matches_rationals_next_to_tangency(center, radius):
+    want = {-1: OriginLocation.INSIDE, 0: OriginLocation.BOUNDARY, 1: OriginLocation.OUTSIDE}
+    for cx in near(center[0]):
+        for rho in near(radius):
+            expected = want[sign(exact_power((0.0, 0.0), (cx, center[1]), rho))]
+            assert DiskRegion((cx, center[1]), rho).classify_origin() is expected, (cx, rho)
+
+
+# Cavities whose closure touches the ambient circle r = R exactly, as (center, rho, R).
+TOUCHING_CAVITIES = [((1.5, 0.0), 0.5, 2.0), ((0.75, 1.0), 0.75, 2.0), ((0.0, 0.0), 1.2, 1.2), ((0.0, -0.7), 0.5, 1.2)]
+
+
+@pytest.mark.parametrize("center,rho,boundary_radius", TOUCHING_CAVITIES)
+def test_validate_admissible_matches_rationals_next_to_the_ambient_circle(center, rho, boundary_radius):
+    # Admissible exactly when rho < R and |c|^2 < (R - rho)^2.
+    for cy in near(center[1]):
+        for r in near(rho):
+            for big in near(boundary_radius):
+                cavity = DiskRegion((center[0], cy), r)
+                want = r < big and exact_power((0.0, 0.0), cavity.center, big, -r) < 0
+                try:
+                    validate_admissible(cavity, big)
+                except ValueError:
+                    assert not want, (cy, r, big)
+                else:
+                    assert want, (cy, r, big)
 
 
 def test_bad_orders_rejected():

@@ -38,7 +38,7 @@ from nrtlab.indicator import (
     sup_indicator,
     validate_orders,
 )
-from reference import complex_arnoldi_taylor, h1_inner, point_space_runge_fit, scaled_sequence
+from reference import complex_arnoldi_taylor, exact_power, h1_inner, near, point_space_runge_fit, scaled_sequence
 
 R = 2.0
 EPS = 1e-3
@@ -356,6 +356,38 @@ def test_series_pairings_match_the_gap_trace(radius):
 def test_indicator_sweep_refuses_origin_on_boundary():
     with pytest.raises(OriginOnBoundaryError):
         indicator_sweep(DiskRegion((0.5, 0.0), 0.5), R, EPS, [4, 8])
+
+
+def test_indicator_sweep_refuses_a_non_finite_ambient_radius():
+    for radius in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            indicator_sweep(DiskRegion((0.3, 0.0), 0.5), radius, EPS, [4, 8])
+
+
+@pytest.mark.parametrize(
+    "center,rho,verdict",
+    [
+        ((0.5 * (1.0 - 1e-12), 0.0), 0.5, Verdict.BOUNDED),
+        ((0.5 * (1.0 - 2.0**-52), 0.0), 0.5, Verdict.BOUNDED),
+        # A unit inside: the rounded q = |c|^2 / rho^2 is 1.
+        ((0.29999999999999993, 0.0), 0.3, Verdict.BOUNDED),
+        ((0.5 * (1.0 + 1e-12), 0.0), 0.5, Verdict.BLOW_UP),
+    ],
+)
+def test_indicator_sweep_decides_disks_next_to_tangency(center, rho, verdict):
+    # Within the old 1e-9 band, down to a unit from the circle.  Inside,
+    # the tail (4 pi / rho^2) q^N (1 + N (1 - q)) / (1 - q)^2 takes 1 - q
+    # from rationals here and from the exact power in the sweep.
+    curve = indicator_sweep(DiskRegion(center, rho), R, EPS, [8, 64, 1024])
+    assert curve.verdict is verdict
+    assert np.all(np.isfinite(curve.values))
+    if verdict is Verdict.BLOW_UP:
+        assert np.isposinf(curve.limit_bound)
+        return
+    n, gap = 1024, float(1 - Fraction(center[0]) ** 2 / Fraction(rho) ** 2)
+    tail = 4.0 * np.pi / rho**2 * math.exp(n * math.log1p(-gap)) * (1.0 + n * gap) / gap**2
+    assert math.isfinite(curve.limit_bound) and curve.limit_bound >= curve.values[-1]
+    assert_allclose(curve.limit_bound, EPS * math.sqrt((curve.values[-1] / EPS) ** 2 + tail), rtol=1e-12)
 
 
 def test_indicator_sweep_two_orders_give_the_geometric_verdict():
@@ -758,6 +790,49 @@ def test_runge_fit_near_tangent_norms_stay_within_their_remainder():
     for value, exact in ((fit.residual, residual_sq), (fit.norm_on_G, norm_sq)):
         assert math.isfinite(value)
         assert 0.0 <= exact - value**2 <= np.pi * rho**2 / (4.0 * (order + TAIL_TERMS) ** 2)
+
+
+@pytest.mark.parametrize(
+    "center,rho,t",
+    [
+        # Exactly outside, yet the rounded |c - t| equals rho, so the rounded q = (rho / |c - t|)^2 is 1.
+        ((0.75, 0.0), 0.6499999999999999, 0.10000000000000003),
+        ((0.5 + 0.25 * (1.0 + 2.0**-50), 0.0), 0.25, 0.5),
+    ],
+)
+def test_runge_fit_a_unit_from_tangency_stays_finite(center, rho, t):
+    # The tails take 1 - q from the exact power.  On G, ||E_t||^2 =
+    # pi rho^2 log^2 d - pi log(1 - q) + (pi rho^2 / 2) sum_n q^n / (n^2 (n + 1)),
+    # and the last sum is pi^2 / 6 - 1 to within 1 - q here; the fit's
+    # L2 part stops at M = N + TAIL_TERMS, short by less than pi rho^2 / (4 M^2).
+    from nrtlab.indicator import TAIL_TERMS
+
+    d_sq = (Fraction(center[0]) - Fraction(t)) ** 2 + Fraction(center[1]) ** 2
+    gap = float(1 - Fraction(rho) ** 2 / d_sq)
+    exact = np.pi * (rho**2 * (0.5 * math.log(float(d_sq))) ** 2 - math.log(gap) + 0.5 * rho**2 * (np.pi**2 / 6.0 - 1.0))
+    for order in (1, 8, 32):
+        fit = runge_fit(t, DiskRegion(center, rho), R, order)
+        assert all(math.isfinite(v) for v in (fit.dx_p0, fit.residual, fit.pairing_bound, fit.log10_max_g))
+        assert -1e-12 * exact <= exact - fit.norm_on_G**2 <= np.pi * rho**2 / (4.0 * (order + TAIL_TERMS) ** 2)
+
+
+@pytest.mark.parametrize(
+    "center,rho,t",
+    [((0.75, 0.0), 0.6499999999999999, 0.10000000000000003), ((0.75, 0.0), 0.5, 0.25), ((0.375, 0.5), 0.375, 0.25), ((-0.375, -0.5), 0.375, 0.25)],
+)
+def test_runge_fit_preconditions_match_rationals_next_to_tangency(center, rho, t):
+    # t e1 outside the closed cavity, |c - t e1|^2 > rho^2, and the cavity
+    # outside the closed ball of radius t, |c|^2 > (t + rho)^2, on a scan
+    # across the exact ties (|c| = t + rho in each base case but the first).
+    for probe in near(t):
+        for radius in near(rho):
+            outside = exact_power((probe, 0.0), center, radius) > 0
+            apart = exact_power((0.0, 0.0), center, probe, radius) > 0
+            if outside and apart:
+                runge_fit(probe, DiskRegion(center, radius), R, 1)
+                continue
+            with pytest.raises(ValueError, match="cavity closure" if not outside else "closed ball"):
+                runge_fit(probe, DiskRegion(center, radius), R, 1)
 
 
 def test_runge_fit_log10_max_g_survives_huge_radius():
