@@ -5,8 +5,8 @@ Its runner only computes; main alone decides pass or fail and writes
 <out>/<experiment>.csv, .json and .svg.  Outputs are functions of the
 config alone (timing goes to stdout only), so reruns with the same
 config produce byte-identical files.  Exit code 0 means all checks
-passed, 1 means a check or verdict failed (or, under --strict, a soft
-flag was raised), 2 means the configuration was unusable.
+passed, 1 means only that a check or verdict failed, and 2 means the
+configuration was unusable; a run that exits 2 writes nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .checks import (
     sign_map,
     validate_taus,
 )
-from .geometry import DiskRegion, validate_admissible
+from .geometry import DiskRegion, OriginLocation, validate_admissible
 from .harmonic import (
     annulus_neumann_solution,
     gap_neumann_trace,
@@ -46,7 +46,6 @@ from .indicator import (
     MAX_RUNGE_ORDER,
     MAX_SWEEP_ORDER,
     IndicatorCurve,
-    OriginOnBoundaryError,
     Verdict,
     blow_up_diagnostic,
     indicator_sweep,
@@ -102,7 +101,6 @@ class RunConfig:
     eps: float = 1e-3
     seed: int = 7
     out_dir: str = "out"
-    strict: bool = False
     regions: list = field(default_factory=_default_regions)
     orders: list = field(default_factory=lambda: [4, 8, 16, 24, 32])
     t_values: list = field(default_factory=lambda: [0.5, 0.25, 0.125])
@@ -226,7 +224,7 @@ def _resolution(value, name: str) -> int:
 
 
 def _region(value, name: str) -> dict:
-    """A disk {"shape": "disk", "center": [x, y], "radius": r}, optionally with an expected verdict.
+    """A disk {"shape": "disk", "center": [x, y], "radius": r}, optionally with the verdict a sweep must return.
 
     Its fit inside the ambient disk depends on boundary_radius; _parse_region checks that.
     """
@@ -234,9 +232,9 @@ def _region(value, name: str) -> dict:
         raise ConfigError(f"{name} must be a disk object with center and radius, got {value!r}")
     _list(value.get("center"), f"{name}.center", _number, 2, 2)
     _number(value.get("radius"), f"{name}.radius", above=0.0)
-    verdicts = [v.value for v in Verdict]
-    if "expect" in value and value["expect"] not in verdicts + [None]:
-        raise ConfigError(f"{name}.expect must be one of {sorted(verdicts)}, got {value['expect']!r}")
+    verdicts = [Verdict.BOUNDED.value, Verdict.BLOW_UP.value, None]  # what an indicator sweep returns
+    if value.get("expect") not in verdicts:
+        raise ConfigError(f"{name}.expect must be one of {verdicts}, got {value['expect']!r}")
     return value
 
 
@@ -248,7 +246,6 @@ SCHEMA = {
     "eps": partial(_number, above=0.0),
     "seed": partial(_integer, lo=0, hi=MAX_SEED),
     "out_dir": _out_dir,
-    "strict": partial(_instance, kind=bool),
     "regions": partial(_list, item=_region, hi=MAX_REGIONS),
     "orders": partial(_validated, item=partial(_integer, lo=1, hi=MAX_SWEEP_ORDER), validate=validate_orders),
     "t_values": partial(_decreasing, lo=3, hi=MAX_T_VALUES),
@@ -369,28 +366,27 @@ def run_verify_identity(cfg: RunConfig) -> tuple:
         ylabel="|pairing + 2 pi dx z_g(0)|",
         logy=True,
     )
-    return table, summary, failures, [], chart
+    return table, summary, failures, chart
 
 
 def run_indicator(cfg: RunConfig) -> tuple:
     """Sweep the constrained sup over cutoff orders for each test region."""
-    parsed = [_parse_region(entry, cfg.boundary_radius, f"regions[{i}]") for i, entry in enumerate(cfg.regions)]
+    parsed = []
+    for i, entry in enumerate(cfg.regions):
+        region, expect = _parse_region(entry, cfg.boundary_radius, f"regions[{i}]")
+        # The dichotomy decides an origin inside or outside the disk; on its circle there is no verdict.
+        if region.classify_origin() is OriginLocation.BOUNDARY:
+            raise ConfigError(f"regions[{i}]: boundary of disk(center={region.center}, radius={region.radius}) "
+                              "passes through the origin; the sweep verdict is undefined there")
+        parsed.append((region, expect))
 
     table = {column: [] for column in ["region"] + SWEEP_COLUMNS}
     region_summaries = []
     failures = []
-    soft_flags = []
     curves = []
     for idx, (region, expect) in enumerate(parsed):
         label = f"disk({region.center[0]:g},{region.center[1]:g};r={region.radius:g})"
-        try:
-            curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, cfg.orders)
-        except OriginOnBoundaryError as exc:
-            for column, cell in zip(table, [label, "", cfg.eps, "", "refused"]):
-                table[column].append(cell)
-            region_summaries.append({"region": label, "verdict": "refused", "reason": str(exc), "expect": expect})
-            soft_flags.append(f"region {idx} refused: origin on boundary")
-            continue
+        curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, cfg.orders)
         curves.append((label, curve))
         n = len(cfg.orders)
         cells = [[label] * n, cfg.orders, [curve.eps] * n, curve.values.tolist(), [curve.verdict.value] * n]
@@ -418,7 +414,7 @@ def run_indicator(cfg: RunConfig) -> tuple:
         ylabel="sup value",
         logy=True,
     )
-    return table, summary, failures, soft_flags, chart
+    return table, summary, failures, chart
 
 
 def run_runge(cfg: RunConfig) -> tuple:
@@ -481,7 +477,6 @@ def run_runge(cfg: RunConfig) -> tuple:
         if not (lo * cfg.eps < zg_scaled < hi * cfg.eps):
             failures.append(f"t={t}: scaled lift norm {zg_scaled:.3e} outside ({lo} eps, {hi} eps)")
 
-    soft_flags = []
     # The slope diagnostic reads log(pairing), which needs a positive curve.
     nonpositive = [(t, p) for t, p in zip(ts, pairings) if not p > 0.0]
     if nonpositive:
@@ -492,11 +487,7 @@ def run_runge(cfg: RunConfig) -> tuple:
         curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.array(pairings), eps=cfg.eps)
         verdict = blow_up_diagnostic(curve).value
         if verdict != Verdict.BLOW_UP.value:
-            message = f"diagnostic verdict {verdict} on the pairing curve (expected BlowUp)"
-            if verdict == Verdict.INCONCLUSIVE.value:
-                soft_flags.append(message)
-            else:
-                failures.append(message)
+            failures.append(f"diagnostic verdict {verdict} on the pairing curve (expected BlowUp)")
     ratios = [b / a if a != 0.0 else math.nan for a, b in zip(scaled_values, scaled_values[1:])]
 
     summary = {
@@ -539,7 +530,7 @@ def run_runge(cfg: RunConfig) -> tuple:
         logx=True,
         logy=True,
     )
-    return table, summary, failures, soft_flags, chart
+    return table, summary, failures, chart
 
 
 def run_sign_map(cfg: RunConfig) -> tuple:
@@ -599,7 +590,7 @@ def run_sign_map(cfg: RunConfig) -> tuple:
         fields=fields_out,
         title="Restricted kernel sign (blue < 0 < red), dashed: sqrt(2) y3",
     )
-    return table, summary, failures, [], chart
+    return table, summary, failures, chart
 
 
 def run_enclosure(cfg: RunConfig) -> tuple:
@@ -635,12 +626,12 @@ def run_enclosure(cfg: RunConfig) -> tuple:
         ylabel="(1/tau) log |I_tau|",
         logx=True,
     )
-    return table, summary, failures, [], chart
+    return table, summary, failures, chart
 
 
-# A runner writes nothing and returns (table, summary, failures, soft_flags,
-# chart): CSV columns, JSON summary, failed checks, refused or inconclusive outcomes
-# (failures only under --strict), and chart(path), which draws the SVG.
+# A runner writes nothing and returns (table, summary, failures, chart): CSV
+# columns, JSON summary, failed checks, and chart(path), which draws the SVG.
+# It raises ConfigError on a config it cannot run.
 RUNNERS = {
     "verify-identity": run_verify_identity,
     "indicator": run_indicator,
@@ -667,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--out", type=Path, default=None, help="output directory (default: out)")
-        p.add_argument("--strict", action="store_true", help="treat refused or inconclusive outcomes as failures")
         p.add_argument("--R", type=float, default=None, dest="boundary_radius", help="ambient disk radius (> 1)")
         p.add_argument("--eps", type=float, default=None, help="constraint radius for the lifted data")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized cases")
@@ -681,17 +671,16 @@ def main(argv=None) -> int:
         "eps": args.eps,
         "seed": args.seed,
         "out_dir": str(args.out) if args.out is not None else None,
-        "strict": True if args.strict else None,
     }
     try:
         cfg = load_config(args.config, overrides)
         started = time.perf_counter()
-        table, summary, failures, soft_flags, chart = RUNNERS[args.command](cfg)
+        table, summary, failures, chart = RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    passed = not failures and not (cfg.strict and soft_flags)
-    summary.update(failures=failures, soft_flags=soft_flags, strict=cfg.strict, passed=passed)
+    passed = not failures
+    summary.update(failures=failures, passed=passed)
     out_dir = Path(cfg.out_dir)
     write_outputs(out_dir, args.command, table, summary, cfg)
     chart(out_dir / f"{args.command}.svg")
@@ -699,8 +688,6 @@ def main(argv=None) -> int:
     print(f"[{args.command}] {'PASS' if passed else 'FAIL'} in {elapsed:.2f}s, outputs in {cfg.out_dir}")
     for line in failures:
         print(f"  failure: {line}")
-    for line in soft_flags:
-        print(f"  note: {line}")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

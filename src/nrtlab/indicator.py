@@ -449,13 +449,21 @@ class RungeFit:
     boundary radius.  g, built from them when read, keeps the modes n <= 1
     of P's trace on r = boundary_radius: those are the only modes the gap
     trace pairs with, and the lift of g matches P to first order at the
-    origin.  residual is the H1
-    misfit of P against E_t over G and B, norm_on_G and zg_norm_on_G the
-    H1(G) norms of E_t and of P.  pairing_bound bounds the relative error
-    of l(g) against 2 pi / t (see runge_fit).  n_retained is the rank of the
-    least-squares matrix under lstsq's rule, out of 2 order + 1 columns:
-    its 2 order - 2 singular values equal to 1 and those of its other
-    three that the rule keeps (see _least_squares).
+    origin.  residual is the H1 misfit of P against E_t over G and B,
+    norm_on_G and zg_norm_on_G the H1(G) norms of E_t and of P.
+    pairing_bound bounds the relative error of l(g) against 2 pi / t (see
+    runge_fit).  n_retained is the rank of the least-squares matrix under
+    lstsq's rule, out of 2 order + 1 columns: its 2 order - 2 singular
+    values equal to 1 and those of its other three that the rule keeps
+    (see _least_squares).
+
+    Three float64 forms of P, one polynomial in exact arithmetic, differ by
+    the Arnoldi build's rounding.  p0, dx_p0, dy_p0, the pairing and
+    pairing_bound read Q's ball rows (B_n), residual and zg_norm_on_G its
+    cavity rows (A_n), and log10_max_g H's recurrence.  pairing_bound is
+    proven for the ball rows; their gap to the recurrence is only measured:
+    at most 0.43 of u (N + 1) sum_n sum_k |coeff[k]| |Q[k, 2n + 1]| on 10^5
+    points of B's circle over 108 reference fits (36 disks, t = 0.5, 0.25, 0.125).
     """
 
     t: float
@@ -718,6 +726,9 @@ def runge_fit(
     sum |e_n| < |log t| + 1 and sum_k |coeff[k]| sum_n |Q[k, 2n + 1]| <=
     sqrt(2 (N + 1)) sum |coeff| (rows of squared norm 2): the rounding of
     B_n's dot products and of the sum.  P(0) = Re B_0 and p'(0) = B_1 / (t / 2).
+    So the pairing, p0, dx_p0 and pairing_bound, proven for them, read Q's
+    ball rows; residual and zg_norm_on_G read its cavity rows, and
+    log10_max_g H's recurrence, measured against the ball rows (see RungeFit).
     Preconditions keep t e1 strictly outside the cavity closure, the
     cavity outside the closed ball of radius t, both decided exactly
     (see power_sign), and t < R.

@@ -29,7 +29,7 @@ from nrtlab.cli import (
 )
 from nrtlab import checks
 from nrtlab.checks import MAX_TAU, enclosure_bound
-from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER
+from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER, Verdict
 
 ALL_COMMANDS = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
 SWEEP_COLUMNS = "N_or_t,eps,value,verdict"
@@ -41,16 +41,15 @@ def read(path):
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_default_run_passes_and_writes_outputs(tmp_path, command):
-    # Every summary carries the status that main decides, with or without --strict.
-    for strict in (False, True):
-        out = tmp_path / f"strict_{strict}"
-        assert main([command, "--out", str(out)] + ["--strict"] * strict) == EXIT_OK
-        for suffix in (".csv", ".json", ".svg"):
-            target = out / f"{command}{suffix}"
-            assert target.is_file() and target.stat().st_size > 0
-        summary = json.loads((out / f"{command}.json").read_text())["summary"]
-        assert summary["failures"] == [] and summary["soft_flags"] == []
-        assert summary["strict"] is strict and summary["passed"] is True
+    # Every summary carries the status that main decides: its failures and whether it passed.
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out)]) == EXIT_OK
+    for suffix in (".csv", ".json", ".svg"):
+        target = out / f"{command}{suffix}"
+        assert target.is_file() and target.stat().st_size > 0
+    payload = json.loads((out / f"{command}.json").read_text())
+    assert payload["summary"]["failures"] == [] and payload["summary"]["passed"] is True
+    assert not {"soft_flags", "strict"} & (set(payload["summary"]) | set(payload["config"]))
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
@@ -161,6 +160,10 @@ CONFIG_ERRORS = [
     ("enclosure", {"tau_values": [5e-324]}),
     # An integer radius beyond 64 bits, which numpy's isfinite refuses; far outside the ambient disk.
     ("indicator", {"regions": [{"center": [0, 0], "radius": 2**64}]}),
+    # The origin lies exactly on the circle, where the sweep has no verdict.
+    ("indicator", {"regions": [{"center": [0.5, 0], "radius": 0.5}]}),
+    # No sweep returns Inconclusive, so no region may expect it.
+    ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expect": "Inconclusive"}]}),
 ]
 FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
 
@@ -604,20 +607,21 @@ def test_expect_mismatch_fails(tmp_path):
     assert payload["summary"]["failures"]
 
 
-def test_strict_passes_on_two_orders(tmp_path):
+def test_two_orders_pass(tmp_path):
     # The verdict is the origin's side of the disk, so two cutoff orders decide it.
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"orders": [4, 8], "regions": [{"shape": "disk", "center": [0.0, 0.0], "radius": 0.5}]}))
     out = tmp_path / "out"
-    assert main(["indicator", "--config", str(config), "--strict", "--out", str(out)]) == EXIT_OK
-    assert json.loads((out / "indicator.json").read_text())["summary"]["soft_flags"] == []
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "indicator.json").read_text())["summary"]
+    assert summary["failures"] == [] and summary["regions"][0]["verdict"] == "Bounded"
 
 
 def test_origin_just_inside_a_near_tangent_disk_is_bounded(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"regions": [{"center": [0.5, 0], "radius": 0.505, "expect": "Bounded"}]}))
     out = tmp_path / "out"
-    assert main(["indicator", "--config", str(config), "--strict", "--out", str(out)]) == EXIT_OK
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
     (region,) = json.loads((out / "indicator.json").read_text())["summary"]["regions"]
     assert region["values"][-1] <= region["limit_bound"] < math.inf
 
@@ -648,26 +652,54 @@ def test_indicator_runs_on_tiny_disks(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_origin_on_boundary_region_is_refused(tmp_path):
+def test_origin_on_boundary_region_is_refused(tmp_path, capsys):
+    # A valid region first: the tangent one is refused before either is swept.
+    regions = [{"center": [0.0, 0.0], "radius": 0.5}, {"shape": "disk", "center": [0.5, 0.0], "radius": 0.5}]
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"regions": [{"shape": "disk", "center": [0.5, 0.0], "radius": 0.5}]}))
+    config.write_text(json.dumps({"regions": regions}))
     out = tmp_path / "out"
-    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    body = (out / "indicator.csv").read_text()
-    assert "refused" in body
-    assert main(["indicator", "--config", str(config), "--strict", "--out", str(out)]) == EXIT_CHECK_FAILED
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: regions[1]: ") and "passes through the origin" in err
+    assert not out.exists()
 
 
-def test_all_regions_refused_still_writes_the_chart(tmp_path):
-    # The chart is empty axes then, written over whatever an earlier run left.
+def test_all_regions_tangent_leaves_earlier_outputs_alone(tmp_path):
+    # A refused config writes nothing, so an earlier run's files stay as they were.
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"regions": [{"center": [0.5, 0.0], "radius": 0.5}]}))
+    config.write_text(json.dumps({"regions": [{"center": [0.5, 0.0], "radius": 0.5}, {"center": [0.0, -0.25], "radius": 0.25}]}))
     out = tmp_path / "out"
     out.mkdir()
     (out / "indicator.svg").write_text("stale")
-    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    assert sorted(p.name for p in out.iterdir()) == ["indicator.csv", "indicator.json", "indicator.svg"]
-    assert (out / "indicator.svg").read_text().startswith("<svg")
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert sorted(p.name for p in out.iterdir()) == ["indicator.svg"]
+    assert (out / "indicator.svg").read_text() == "stale"
+
+
+def test_inconclusive_runge_verdict_fails_the_run(tmp_path, monkeypatch, capsys):
+    # A run that does not confirm the 2 pi / t blow-up has failed its check.
+    monkeypatch.setattr(cli, "blow_up_diagnostic", lambda curve: Verdict.INCONCLUSIVE)
+    out = tmp_path / "out"
+    assert main(["runge", "--out", str(out)]) == EXIT_CHECK_FAILED
+    stdout = capsys.readouterr().out
+    assert "  failure: diagnostic verdict Inconclusive on the pairing curve (expected BlowUp)" in stdout
+    assert "note:" not in stdout
+    summary = json.loads((out / "runge.json").read_text())["summary"]
+    assert summary["verdict"] == "Inconclusive" and summary["passed"] is False
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_strict_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--strict", "--out", str(out)])
+    assert info.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --strict" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"strict": True}))
+    assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: unknown config keys ['strict']")
+    assert not out.exists()
 
 
 def test_flag_overrides_reach_config_echo(tmp_path):

@@ -85,7 +85,6 @@ NEAR_VALID = {
     "eps": numbers,
     "seed": st.integers(min_value=-2, max_value=2**65),
     "out_dir": st.text(max_size=4),
-    "strict": st.booleans(),
     "regions": st.lists(disks, max_size=3),
     "orders": st.lists(st.integers(min_value=-2, max_value=1030), max_size=5).map(sorted),
     "t_values": decreasing,
@@ -129,7 +128,7 @@ def test_load_config_returns_checked_fields_or_config_error(tmp_path, config):
         assert cli.SCHEMA[name](value, name) == value
 
 
-INDICATOR = ["boundary_radius", "eps", "strict", "regions", "orders"]
+INDICATOR = ["boundary_radius", "eps", "regions", "orders"]
 # Indicator runs that get past the schema: one to three disks, some of
 # them next to the ambient circle.
 indicator_runs = st.fixed_dictionaries({"regions": st.lists(disks, min_size=1, max_size=3)})
