@@ -45,9 +45,7 @@ from .harmonic import (
 from .indicator import (
     MAX_RUNGE_ORDER,
     MAX_SWEEP_ORDER,
-    IndicatorCurve,
     Verdict,
-    blow_up_diagnostic,
     indicator_sweep,
     runge_fit,
     validate_orders,
@@ -223,13 +221,19 @@ def _resolution(value, name: str) -> int:
     return value
 
 
-def _region(value, name: str) -> dict:
-    """A disk {"shape": "disk", "center": [x, y], "radius": r}, optionally with the verdict a sweep must return.
+def _region(value, name: str, keys=("shape", "center", "radius", "expect")) -> dict:
+    """A disk {"shape": "disk", "center": [x, y], "radius": r} with no keys beyond keys.
 
-    Its fit inside the ambient disk depends on boundary_radius; _parse_region checks that.
+    An indicator region may carry the verdict its sweep must return.  A Runge
+    region lies outside the ball of radius t about the origin, where only
+    BlowUp can come out, so it takes no "expect".  Its fit inside the
+    ambient disk depends on boundary_radius; _parse_region checks that.
     """
     if not isinstance(value, dict) or value.get("shape", "disk") != "disk":
         raise ConfigError(f"{name} must be a disk object with center and radius, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name} has unknown keys {unknown}; known keys are {sorted(keys)}")
     _list(value.get("center"), f"{name}.center", _number, 2, 2)
     _number(value.get("radius"), f"{name}.radius", above=0.0)
     verdicts = [Verdict.BOUNDED.value, Verdict.BLOW_UP.value, None]  # what an indicator sweep returns
@@ -250,7 +254,7 @@ SCHEMA = {
     "orders": partial(_validated, item=partial(_integer, lo=1, hi=MAX_SWEEP_ORDER), validate=validate_orders),
     "t_values": partial(_decreasing, lo=3, hi=MAX_T_VALUES),
     "runge_order": partial(_integer, lo=1, hi=MAX_RUNGE_ORDER),
-    "runge_region": _region,
+    "runge_region": partial(_region, keys=("shape", "center", "radius")),
     "tau_values": partial(_validated, item=_number, validate=validate_taus, hi=MAX_TAU_VALUES),
     "enclosure_phi": _number,
     "y3_values": partial(_decreasing, lo=1, hi=MAX_SIGN_HEIGHTS),
@@ -262,14 +266,14 @@ SCHEMA = {
 }
 
 
-def _parse_region(entry: dict, boundary_radius: float, label: str) -> tuple[DiskRegion, str | None]:
-    """The schema-checked region as a DiskRegion that the library accepts, with its expected verdict."""
+def _parse_region(entry: dict, boundary_radius: float, label: str) -> DiskRegion:
+    """The schema-checked region as a DiskRegion that the library accepts."""
     region = DiskRegion(center=tuple(entry["center"]), radius=entry["radius"])
     try:
         validate_admissible(region, boundary_radius)
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
-    return region, entry.get("expect")
+    return region
 
 
 def _jsonify(value):
@@ -373,12 +377,12 @@ def run_indicator(cfg: RunConfig) -> tuple:
     """Sweep the constrained sup over cutoff orders for each test region."""
     parsed = []
     for i, entry in enumerate(cfg.regions):
-        region, expect = _parse_region(entry, cfg.boundary_radius, f"regions[{i}]")
+        region = _parse_region(entry, cfg.boundary_radius, f"regions[{i}]")
         # The dichotomy decides an origin inside or outside the disk; on its circle there is no verdict.
         if region.classify_origin() is OriginLocation.BOUNDARY:
             raise ConfigError(f"regions[{i}]: boundary of disk(center={region.center}, radius={region.radius}) "
                               "passes through the origin; the sweep verdict is undefined there")
-        parsed.append((region, expect))
+        parsed.append((region, entry.get("expect")))
 
     table = {column: [] for column in ["region"] + SWEEP_COLUMNS}
     region_summaries = []
@@ -418,18 +422,20 @@ def run_indicator(cfg: RunConfig) -> tuple:
 
 
 def run_runge(cfg: RunConfig) -> tuple:
-    """Drive the blow-up route with shifted log potentials as t -> 0."""
+    """Drive the blow-up route with shifted log potentials as t -> 0.
+
+    The verdict is BlowUp when every t's runge_order fit certifies its
+    pairing within a relative pairing_bound < 1 of 2 pi / t, so that
+    certified_lower = (1 - pairing_bound) 2 pi / t > 0 is a proven lower
+    bound on it, and "undefined" otherwise.
+    """
     ts = cfg.t_values
-    region, _ = _parse_region(cfg.runge_region, cfg.boundary_radius, "runge_region")
+    region = _parse_region(cfg.runge_region, cfg.boundary_radius, "runge_region")
     R = cfg.boundary_radius
     # The convergence table's orders: 8, 16, ... below runge_order, then runge_order.
     orders = list(range(8, cfg.runge_order, 8)) + [cfg.runge_order]
 
-    fits = []
-    pairings = []
-    scaled_values = []
-    rel_errs = []
-    zg_scaled_norms = []
+    rows = []  # one runge.csv row per t, from its runge_order fit
     convergence = []
     failures = []
     for i, t in enumerate(ts):
@@ -463,11 +469,11 @@ def run_runge(cfg: RunConfig) -> tuple:
             raise ConfigError(f"{where}: {exc}") from exc
         convergence.append(table_t)
         zg_scaled = fit.zg_norm_on_G * cfg.eps / (2.0 * fit.norm_on_G)
-        fits.append(fit)
-        pairings.append(pairing)
-        scaled_values.append(scaled_value)
-        rel_errs.append(rel_err)
-        zg_scaled_norms.append(zg_scaled)
+        # The verdict column is set once every t is fitted.
+        rows.append({"N_or_t": t, "eps": cfg.eps, "value": scaled_value, "verdict": None, "pairing": pairing,
+                     "target": target, "rel_err": rel_err, "pairing_bound": fit.pairing_bound, "residual": fit.residual,
+                     "probe_norm_G": fit.norm_on_G, "zg_norm_G": fit.zg_norm_on_G, "zg_scaled_norm": zg_scaled,
+                     "log10_max_g": fit.log10_max_g})
         if not rel_err <= RUNGE_PAIRING_RTOL:  # nan where 2 pi / t overflows
             failures.append(
                 f"t={t}: pairing {pairing:.6g} misses 2 pi / t = {target:.6g} "
@@ -476,18 +482,14 @@ def run_runge(cfg: RunConfig) -> tuple:
         lo, hi = RUNGE_NORM_WINDOW
         if not (lo * cfg.eps < zg_scaled < hi * cfg.eps):
             failures.append(f"t={t}: scaled lift norm {zg_scaled:.3e} outside ({lo} eps, {hi} eps)")
+        if not fit.pairing_bound < 1.0:
+            failures.append(f"t={t}: certified bound {fit.pairing_bound:.2e} is not below 1, "
+                            "so the pairing has no proven lower bound")
 
-    # The slope diagnostic reads log(pairing), which needs a positive curve.
-    nonpositive = [(t, p) for t, p in zip(ts, pairings) if not p > 0.0]
-    if nonpositive:
-        verdict = "undefined"
-        failures += [f"t={t}: pairing {p:.6g} is not positive, so the pairing curve has no log slope"
-                     for t, p in nonpositive]
-    else:
-        curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.array(pairings), eps=cfg.eps)
-        verdict = blow_up_diagnostic(curve).value
-        if verdict != Verdict.BLOW_UP.value:
-            failures.append(f"diagnostic verdict {verdict} on the pairing curve (expected BlowUp)")
+    table = {column: [row[column] for row in rows] for column in rows[0]}
+    verdict = Verdict.BLOW_UP.value if all(b < 1.0 for b in table["pairing_bound"]) else "undefined"
+    table["verdict"] = [verdict] * len(ts)
+    scaled_values = table["value"]
     ratios = [b / a if a != 0.0 else math.nan for a, b in zip(scaled_values, scaled_values[1:])]
 
     summary = {
@@ -495,33 +497,18 @@ def run_runge(cfg: RunConfig) -> tuple:
         "order": cfg.runge_order,
         "region": cfg.runge_region,
         "t_values": ts,
-        "pairings": pairings,
+        "pairings": table["pairing"],
+        "certified_lower": [(1.0 - b) * target for b, target in zip(table["pairing_bound"], table["target"])],
         "scaled_values": scaled_values,
         "scaled_growth_ratios": ratios,
         "convergence": convergence,
         "verdict": verdict,
     }
-    targets = [2.0 * np.pi / t for t in ts]
-    table = {
-        "N_or_t": ts,
-        "eps": [cfg.eps] * len(ts),
-        "value": scaled_values,
-        "verdict": [verdict] * len(ts),
-        "pairing": pairings,
-        "target": targets,
-        "rel_err": rel_errs,
-        "pairing_bound": [fit.pairing_bound for fit in fits],
-        "residual": [fit.residual for fit in fits],
-        "probe_norm_G": [fit.norm_on_G for fit in fits],
-        "zg_norm_G": [fit.zg_norm_on_G for fit in fits],
-        "zg_scaled_norm": zg_scaled_norms,
-        "log10_max_g": [fit.log10_max_g for fit in fits],
-    }
     chart = partial(
         svgplot.line_chart,
         series=[
-            ("pairing l(g_t)", ts, pairings),
-            ("2 pi / t", ts, targets),
+            ("pairing l(g_t)", ts, table["pairing"]),
+            ("2 pi / t", ts, table["target"]),
             ("scaled value", ts, scaled_values),
         ],
         title="Blow-up route: pairing vs probe distance",

@@ -466,9 +466,6 @@ class RungeFit:
     points of B's circle over 108 reference fits (36 disks, t = 0.5, 0.25, 0.125).
     """
 
-    t: float
-    cavity: DiskRegion
-    ball: DiskRegion
     order: int
     boundary_radius: float
     p0: float
@@ -750,7 +747,7 @@ def runge_fit(
             f"ball of radius {t} about the origin; move the cavity or shrink t"
         )
     d = complex(*cavity.center) - t
-    ball = DiskRegion((0.0, 0.0), 0.5 * t)
+    ball_radius = 0.5 * t
     width = order + 1
     m = 4 * order + 16
     # E_t's Taylor coefficients e_n, n <= N, about the center (row 0) and about 0 (row 1).
@@ -760,7 +757,7 @@ def runge_fit(
     probe[0, 1:] = -((-cavity.radius / d) ** n) / n
     probe[1, 1:] = -np.ldexp(1.0, -n) / n
 
-    Q, H = _arnoldi_taylor(complex(*cavity.center), cavity.radius, ball.radius, order)
+    Q, H = _arnoldi_taylor(complex(*cavity.center), cavity.radius, ball_radius, order)
     # Each mode's entry is weighted by its share of the sum of squares:
     # Re A_0 of each circle gives one row, Re and Im A_n, n >= 1, two of weight 1/2.
     scale = np.full(2 * width, math.sqrt(0.5))
@@ -777,7 +774,7 @@ def runge_fit(
     a, b = cavity.radius.as_integer_ratio()
     gap = power * b * b / (power * b * b + denom * a * a)
     on_G, tail_G = _h1_weights(cavity.radius, (cavity.radius / abs(d)) ** 2, gap, order)
-    on_B, tail_B = _h1_weights(ball.radius, 0.25, 0.75, order)
+    on_B, tail_B = _h1_weights(ball_radius, 0.25, 0.75, order)
     residual = math.sqrt(misfit[0] ** 2 @ on_G + tail_G + misfit[1] ** 2 @ on_B + tail_B)
     zg_norm_on_G = math.sqrt(np.abs(fitted[0]) ** 2 @ on_G)
     norm_on_G = math.sqrt(np.abs(probe[0]) ** 2 @ on_G + tail_G)
@@ -785,11 +782,8 @@ def runge_fit(
     sizes = on_ball + abs(math.log(t)) + 1.0 + math.sqrt(2.0 * width) * float(np.sum(np.abs(coeff)))
     pairing_bound = 8.0 / np.pi * (on_ball + math.ldexp(1.0, -order) / width + (order + 4) * FLOAT_EPS * sizes)
 
-    dp0 = fitted[1, 1] / ball.radius
+    dp0 = fitted[1, 1] / ball_radius
     return RungeFit(
-        t=t,
-        cavity=cavity,
-        ball=ball,
         order=order,
         boundary_radius=float(boundary_radius),
         p0=float(fitted[1, 0].real),
@@ -838,6 +832,10 @@ def blow_up_diagnostic(curve: IndicatorCurve) -> Verdict:
     reads as blow-up, |slope| <= FLAT_SLOPE as bounded, anything else as
     inconclusive.  Needs at least three samples and strictly positive
     values (an all-zero curve is bounded outright).
+
+    No program path calls it: `nrtlab runge` takes its verdict from the
+    certified pairing bounds.  perfbench's probe-route scoring does, and
+    tests/test_benchmark_contract.py pins that call.
     """
     if curve.grid.size < 3:
         raise ValueError(f"diagnostic needs at least 3 samples, got {curve.grid.size}")

@@ -96,10 +96,13 @@ def test_criterion_4_blow_up_route():
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
     pairings = []
     scaled = []
+    # (1 - b_t) 2 pi / t is a proven lower bound on the pairing wherever b_t < 1.
+    lowers = []
     for t in ts:
         fit = runge_fit(t, BLOWUP_REGION, R, 32)
         pairings.append(boundary_pairing(w, fit.g, R))
         scaled.append(abs(boundary_pairing(w, scaled_sequence(fit, EPS), R)))
+        lowers.append((1.0 - fit.pairing_bound) * 2.0 * np.pi / t)
     rel = abs(pairings[0] - 4.0 * np.pi) / (4.0 * np.pi)
     growth = min(b / a for a, b in zip(scaled, scaled[1:]))
     curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.abs(pairings), eps=EPS)
@@ -110,6 +113,8 @@ def test_criterion_4_blow_up_route():
         (rel <= 0.05, f"pairing at t=0.5 off 2 pi / t by {rel:.2%}"),
         (growth >= 1.8, f"min scaled growth per halving {growth:.2f}"),
         (diag is Verdict.BLOW_UP and 0.8 <= slope <= 1.2, f"diagnostic {diag.value} slope {slope:.3f}"),
+        (all(0.0 < lower <= p for lower, p in zip(lowers, pairings)),
+         f"certified lower bounds {', '.join(f'{lower:.3f}' for lower in lowers)}"),
         (sweep.verdict is Verdict.BLOW_UP, f"sup sweep verdict {sweep.verdict.value}"),
     ]
     passed = all(ok for ok, _ in checks)

@@ -4,15 +4,23 @@ perfbench/tracing.py lists its targets as (layer, function, observer).
 A target that no longer exists on nrtlab.<layer> breaks `--trace 1`
 runs, so this checks the list against the package as it stands.  The
 workloads and the tracer also read attributes of what those functions
-return, and those must stay readable too.
+return, and those must stay readable too.  Some of what the benchmark
+calls runs on no program path (the slope diagnostic, the pairing of a
+fit's boundary data), so only these tests keep a change to the package
+from breaking it.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
+import math
+import re
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -49,3 +57,58 @@ def test_results_keep_the_attributes_the_benchmark_reads():
     curve = indicator_sweep(DiskRegion((0.2, 0.0), 0.5), 2.0, 1e-3, [4, 8])
     assert curve.values.shape == (2,)
     assert curve.verdict is Verdict.BOUNDED
+
+
+def test_probe_route_scoring_calls_still_run():
+    # workloads.ProbeOps pairs fit.g with the gap trace, and probe_score
+    # judges each disk's pairings against t with blow_up_diagnostic.
+    import numpy as np
+
+    from nrtlab.geometry import DiskRegion
+    from nrtlab.harmonic import annulus_neumann_solution, boundary_pairing, gap_neumann_trace
+    from nrtlab.indicator import IndicatorCurve, Verdict, blow_up_diagnostic, runge_fit
+
+    R = 2.0
+    w = gap_neumann_trace(annulus_neumann_solution(R), R)
+    ts = (0.5, 0.25, 0.125)
+    pairings = [boundary_pairing(w, runge_fit(t, DiskRegion((1.3, 0.0), 0.25), R, 16).g, R) for t in ts]
+    assert all(math.isfinite(p) for p in pairings)
+    curve = IndicatorCurve(parameter="t", grid=np.array(ts), values=np.array(pairings), eps=1e-3)
+    assert isinstance(blow_up_diagnostic(curve), Verdict)
+
+
+def test_setup_code_runs_and_calls_what_it_names():
+    # run.py times each workload's set-up code in a fresh process.
+    import nrtlab
+
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    setup = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "SETUP_CODE" for target in node.targets)
+    )
+    called = {name for code in setup.values() for name in re.findall(r"nrtlab\.(\w+)\(", code)}
+    assert called == {"indicator_sweep", "DiskRegion", "runge_fit", "enclosure_indicator"}
+    assert all(callable(getattr(nrtlab, name, None)) for name in called)
+    for code in setup.values():
+        exec(code, {})
+
+
+def test_enclosure_observer_resolves_its_import():
+    # tracing._enclosure imports checks.required_enclosure_order when called.
+    counts = load_tracing()._enclosure(None, {"tau": 7.0, "boundary_radius": 2.0}, None)
+    assert isinstance(counts["quad_nodes"], int) and counts["quad_nodes"] > 0
+
+
+def test_sign_map_json_keeps_the_keys_cli_suite_scores(tmp_path):
+    # cli-suite scores the half width and, per height, the centre value
+    # and the zero-radius estimate within a grid step.
+    from nrtlab.cli import main
+
+    assert main(["sign-map", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "sign-map.json").read_text())["summary"]
+    assert summary["half_width"] > 0.0
+    assert summary["per_height"]
+    for entry in summary["per_height"]:
+        for key in ("y3", "center_value", "zero_radius_estimate", "grid_step"):
+            assert math.isfinite(entry[key]), key

@@ -29,7 +29,7 @@ from nrtlab.cli import (
 )
 from nrtlab import checks
 from nrtlab.checks import MAX_TAU, enclosure_bound
-from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER, Verdict
+from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER
 
 ALL_COMMANDS = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
 SWEEP_COLUMNS = "N_or_t,eps,value,verdict"
@@ -164,6 +164,10 @@ CONFIG_ERRORS = [
     ("indicator", {"regions": [{"center": [0.5, 0], "radius": 0.5}]}),
     # No sweep returns Inconclusive, so no region may expect it.
     ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expect": "Inconclusive"}]}),
+    # A misspelt key would drop the check it names.
+    ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expct": "BlowUp"}]}),
+    # A Runge region has one verdict, BlowUp, so it takes no "expect".
+    ("runge", {"runge_region": {"center": [1.3, 0], "radius": 0.25, "expect": "Bounded"}}),
 ]
 FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
 
@@ -220,7 +224,8 @@ def test_runge_fit_out_of_float_range_is_config_error(tmp_path, capsys, config):
     ],
 )
 def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
-    # The slope diagnostic then has no curve to read.
+    # The pairing misses 2 pi / t, and its certified bound is not below 1,
+    # so no t has a proven lower bound and the verdict is undefined.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -230,7 +235,24 @@ def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
     summary = json.loads((out / "runge.json").read_text())["summary"]
     assert summary["verdict"] == "undefined"
     first = summary["t_values"][0]
-    assert any(line.startswith(f"t={first}: pairing") and "not positive" in line for line in summary["failures"])
+    assert summary["pairings"][0] <= 0.0 and summary["certified_lower"][0] <= 0.0
+    assert any(line.startswith(f"t={first}: pairing") and "misses 2 pi / t" in line for line in summary["failures"])
+    assert any(line.startswith(f"t={first}: certified bound") and "not below 1" in line for line in summary["failures"])
+
+
+def test_runge_certified_lower_bound_at_the_defaults(tmp_path):
+    # Each pairing is proven within pairing_bound of 2 pi / t, so
+    # (1 - pairing_bound) 2 pi / t bounds it from below.
+    out = tmp_path / "out"
+    assert main(["runge", "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "runge.json").read_text())["summary"]
+    rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+    assert summary["verdict"] == "BlowUp"
+    for t, lower, pairing, row in zip(summary["t_values"], summary["certified_lower"], summary["pairings"], rows, strict=True):
+        bound = float(row["pairing_bound"])
+        assert bound < 1.0
+        assert lower == (1.0 - bound) * (2.0 * np.pi / t)
+        assert 0.0 < lower <= pairing
 
 
 def test_runge_certifies_the_pairing_at_t_1e_20(tmp_path, capsys):
@@ -538,6 +560,24 @@ def test_unknown_config_key_is_config_error(tmp_path):
     assert main(["indicator", "--config", str(config)]) == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize(
+    "command,config,message",
+    [
+        ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5}, {"center": [1.3, 0], "radius": 0.25, "x": 1, "a": 2}]},
+         "regions[1] has unknown keys ['a', 'x']; known keys are ['center', 'expect', 'radius', 'shape']"),
+        ("runge", {"runge_region": {"center": [1.3, 0], "radius": 0.25, "expect": "BlowUp"}},
+         "runge_region has unknown keys ['expect']; known keys are ['center', 'radius', 'shape']"),
+    ],
+)
+def test_region_unknown_key_names_the_object_and_its_keys(tmp_path, capsys, command, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert main(["indicator", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG_ERROR
 
@@ -676,16 +716,21 @@ def test_all_regions_tangent_leaves_earlier_outputs_alone(tmp_path):
     assert (out / "indicator.svg").read_text() == "stale"
 
 
-def test_inconclusive_runge_verdict_fails_the_run(tmp_path, monkeypatch, capsys):
-    # A run that does not confirm the 2 pi / t blow-up has failed its check.
-    monkeypatch.setattr(cli, "blow_up_diagnostic", lambda curve: Verdict.INCONCLUSIVE)
+def test_uncertified_runge_verdict_fails_the_run(tmp_path, capsys):
+    # At t = 1e-30 the fit cannot resolve the ball, and its bound is about
+    # 1.77: that t has no proven lower bound, so the run does not confirm
+    # the 2 pi / t blow-up and has failed its check.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"t_values": [0.5, 0.25, 1e-30]}))
     out = tmp_path / "out"
-    assert main(["runge", "--out", str(out)]) == EXIT_CHECK_FAILED
+    assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
     stdout = capsys.readouterr().out
-    assert "  failure: diagnostic verdict Inconclusive on the pairing curve (expected BlowUp)" in stdout
+    assert "  failure: t=1e-30: certified bound 1.77e+00 is not below 1, so the pairing has no proven lower bound" in stdout
     assert "note:" not in stdout
     summary = json.loads((out / "runge.json").read_text())["summary"]
-    assert summary["verdict"] == "Inconclusive" and summary["passed"] is False
+    assert summary["verdict"] == "undefined" and summary["passed"] is False
+    assert [line.split(":")[0] for line in summary["failures"]] == ["t=1e-30", "t=1e-30"]
+    assert summary["certified_lower"][0] > 0.0 and summary["certified_lower"][1] > 0.0 and summary["certified_lower"][2] < 0.0
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
