@@ -399,17 +399,14 @@ def run_indicator(cfg: RunConfig) -> tuple:
         region_summaries.append(
             {
                 "region": label,
-                "expect": expect,
                 "verdict": curve.verdict.value,
-                "values": list(curve.values),
-                "growth_ratios": list(curve.growth_ratios),
                 "limit_bound": curve.limit_bound,
             }
         )
         if expect is not None and curve.verdict.value != expect:
             failures.append(f"region {idx} verdict {curve.verdict.value} != expected {expect}")
 
-    summary = {"eps": cfg.eps, "orders": cfg.orders, "regions": region_summaries}
+    summary = {"regions": region_summaries}
     chart = partial(
         svgplot.line_chart,
         series=[(label, curve.grid, np.maximum(curve.values, 1e-18)) for label, curve in curves],
@@ -443,6 +440,8 @@ def run_runge(cfg: RunConfig) -> tuple:
         table_t = {"t": t, "orders": orders, "rel_err": [], "pairing_bound": [], "residual": []}
         where = f"t_values[{i}]={t} with eps={cfg.eps}, boundary_radius={R} and runge_region={cfg.runge_region}"
         try:
+            if not math.isfinite(target):
+                raise ValueError(f"2 pi / t = {target} leaves the float64 range")
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for order in orders:
                     fit = runge_fit(t, region, R, order)
@@ -474,7 +473,7 @@ def run_runge(cfg: RunConfig) -> tuple:
                      "target": target, "rel_err": rel_err, "pairing_bound": fit.pairing_bound, "residual": fit.residual,
                      "probe_norm_G": fit.norm_on_G, "zg_norm_G": fit.zg_norm_on_G, "zg_scaled_norm": zg_scaled,
                      "log10_max_g": fit.log10_max_g})
-        if not rel_err <= RUNGE_PAIRING_RTOL:  # nan where 2 pi / t overflows
+        if not rel_err <= RUNGE_PAIRING_RTOL:
             failures.append(
                 f"t={t}: pairing {pairing:.6g} misses 2 pi / t = {target:.6g} "
                 f"(rel {rel_err:.2e}, certified bound {fit.pairing_bound:.2e})"
@@ -489,18 +488,9 @@ def run_runge(cfg: RunConfig) -> tuple:
     table = {column: [row[column] for row in rows] for column in rows[0]}
     verdict = Verdict.BLOW_UP.value if all(b < 1.0 for b in table["pairing_bound"]) else "undefined"
     table["verdict"] = [verdict] * len(ts)
-    scaled_values = table["value"]
-    ratios = [b / a if a != 0.0 else math.nan for a, b in zip(scaled_values, scaled_values[1:])]
 
     summary = {
-        "eps": cfg.eps,
-        "order": cfg.runge_order,
-        "region": cfg.runge_region,
-        "t_values": ts,
-        "pairings": table["pairing"],
         "certified_lower": [(1.0 - b) * target for b, target in zip(table["pairing_bound"], table["target"])],
-        "scaled_values": scaled_values,
-        "scaled_growth_ratios": ratios,
         "convergence": convergence,
         "verdict": verdict,
     }
@@ -509,7 +499,7 @@ def run_runge(cfg: RunConfig) -> tuple:
         series=[
             ("pairing l(g_t)", ts, table["pairing"]),
             ("2 pi / t", ts, table["target"]),
-            ("scaled value", ts, scaled_values),
+            ("scaled value", ts, table["value"]),
         ],
         title="Blow-up route: pairing vs probe distance",
         xlabel="t",
@@ -555,10 +545,7 @@ def run_sign_map(cfg: RunConfig) -> tuple:
         failures.append("sign indefiniteness certificate failed on the fixed patch")
 
     summary = {
-        "y3_values": heights,
         "half_width": half_width,
-        "resolution": resolution,
-        "patch_radius": cfg.sign_patch_radius,
         "per_height": per_height,
         "certificate": certificate,
         "certificate_margin": certificate_margin(heights[0], cfg.sign_patch_radius),
@@ -593,7 +580,7 @@ def run_enclosure(cfg: RunConfig) -> tuple:
     failures = [f"tau={tau}: quadrature differs from -2 pi tau e^(-i phi) by rel {err:.2e}, above its bound {bound:.2e}"
                 for tau, err, bound in zip(taus, rel_errs, bounds) if not err <= bound]
 
-    summary = {"tau_values": taus, "phi": phi, "log_over_tau": log_over_tau}
+    summary = {"phi": phi}
     table = {
         "tau": taus,
         "re": [s.value.real for s in samples],
@@ -617,8 +604,8 @@ def run_enclosure(cfg: RunConfig) -> tuple:
 
 
 # A runner writes nothing and returns (table, summary, failures, chart): CSV
-# columns, JSON summary, failed checks, and chart(path), which draws the SVG.
-# It raises ConfigError on a config it cannot run.
+# columns, a JSON summary of only what they and the config echo do not hold,
+# failed checks, and chart(path), which draws the SVG; it raises ConfigError.
 RUNNERS = {
     "verify-identity": run_verify_identity,
     "indicator": run_indicator,

@@ -320,13 +320,6 @@ class IndicatorCurve:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    @property
-    def growth_ratios(self) -> np.ndarray:
-        """Consecutive ratios values[k+1] / values[k], nan where undefined."""
-        prev = self.values[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(prev != 0.0, self.values[1:] / prev, np.nan)
-
 
 def validate_orders(orders) -> list[int]:
     """Cutoff orders as a list of ints, checked to be a sweep's order grid.

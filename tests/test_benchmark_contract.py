@@ -7,17 +7,22 @@ workloads and the tracer also read attributes of what those functions
 return, and those must stay readable too.  Some of what the benchmark
 calls runs on no program path (the slope diagnostic, the pairing of a
 fit's boundary data), so only these tests keep a change to the package
-from breaking it.
+from breaking it.  cli-suite also scores the CLI's output files, so the
+summary keys, config keys and CSV columns it reads are pinned here.
 """
 
 import ast
+import csv
 import importlib
 import importlib.util
+import io
 import json
 import math
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -112,3 +117,51 @@ def test_sign_map_json_keeps_the_keys_cli_suite_scores(tmp_path):
     for entry in summary["per_height"]:
         for key in ("y3", "center_value", "zero_radius_estimate", "grid_step"):
             assert math.isfinite(entry[key]), key
+
+
+# The CSV columns that workloads.cli_score_command reads per subcommand.
+SCORED_COLUMNS = {
+    "verify-identity": {"pairing", "gradient_form"},
+    "indicator": {"region", "N_or_t", "eps", "value"},
+    "runge": {"N_or_t", "pairing"},
+    "sign-map": set(),
+    "enclosure": {"tau", "re", "im"},
+}
+
+
+def region_label_pattern():
+    # workloads._LABEL, the pattern cli-suite parses each indicator region label with.
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    (call,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "_LABEL" for target in node.targets)
+    ]
+    return re.compile(ast.literal_eval(call.args[0]))
+
+
+@pytest.mark.parametrize("command", sorted(SCORED_COLUMNS))
+def test_cli_outputs_keep_what_cli_suite_scores(tmp_path, command):
+    # cli-suite refuses a run whose summary has not passed, then scores
+    # CSV columns and the summary and config keys checked here.
+    from nrtlab.cli import main
+
+    assert main([command, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / f"{command}.json").read_text())
+    summary, config = payload["summary"], payload["config"]
+    assert summary["passed"] is True
+    rows = list(csv.DictReader(io.StringIO((tmp_path / f"{command}.csv").read_text())))
+    assert rows and SCORED_COLUMNS[command] <= set(rows[0])
+    if command == "indicator":
+        label = region_label_pattern()
+        assert len(summary["regions"]) == len(config["regions"])
+        for region, result in zip(config["regions"], summary["regions"]):
+            cx, cy, rho = (float(g) for g in label.fullmatch(result["region"]).groups())
+            assert [cx, cy] == region["center"] and rho == region["radius"]
+            assert result["verdict"] in ("Bounded", "BlowUp")
+        assert all(label.fullmatch(row["region"]) for row in rows)
+    elif command == "runge":
+        assert summary["verdict"] == "BlowUp"
+        assert set(config["runge_region"]) >= {"center", "radius"}
+    elif command == "enclosure":
+        assert math.isfinite(summary["phi"])

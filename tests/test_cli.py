@@ -39,6 +39,13 @@ def read(path):
     return path.read_bytes()
 
 
+def indicator_values(out):
+    """Each region's sweep values, in config order, read from indicator.csv."""
+    n = len(json.loads((out / "indicator.json").read_text())["config"]["orders"])
+    values = [float(row["value"]) for row in csv.DictReader(io.StringIO((out / "indicator.csv").read_text()))]
+    return [values[i : i + n] for i in range(0, len(values), n)]
+
+
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_default_run_passes_and_writes_outputs(tmp_path, command):
     # Every summary carries the status that main decides: its failures and whether it passed.
@@ -62,17 +69,58 @@ def test_outputs_are_byte_deterministic(tmp_path, command):
         assert read(out1 / f"{command}{suffix}") == read(out2 / f"{command}{suffix}")
 
 
+# Each summary holds only the numbers that neither <name>.csv nor the
+# config echo holds, plus the status keys failures and passed.
+SUMMARY_KEYS = {
+    "verify-identity": {"n_cases", "max_residual", "tolerance"},
+    "indicator": {"regions"},
+    "runge": {"certified_lower", "convergence", "verdict"},
+    "sign-map": {"half_width", "per_height", "certificate", "certificate_margin"},
+    "enclosure": {"phi"},
+}
+
+
 def test_json_payload_shape(tmp_path):
     out = tmp_path / "out"
-    main(["indicator", "--out", str(out)])
+    for command in ALL_COMMANDS:
+        assert main([command, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / f"{command}.json").read_text())
+        assert set(payload) == {"experiment", "config", "summary"}
+        assert payload["experiment"] == command
+        assert set(payload["config"]) == FIELDS - {"out_dir"}
+        assert set(payload["summary"]) == SUMMARY_KEYS[command] | {"failures", "passed"}
+        assert payload["summary"]["passed"] is True
+    regions = json.loads((out / "indicator.json").read_text())["summary"]["regions"]
+    assert [entry["verdict"] for entry in regions] == ["Bounded", "BlowUp"]
+    assert all(set(entry) == {"region", "verdict", "limit_bound"} for entry in regions)
+    per_height = json.loads((out / "sign-map.json").read_text())["summary"]["per_height"]
+    assert all(
+        set(entry) == {"y3", "center_value", "zero_radius_estimate", "predicted_zero_radius", "grid_step", "negative", "positive", "band"}
+        for entry in per_height
+    )
+
+
+def test_indicator_summary_does_not_grow_with_the_orders(tmp_path):
+    # The per-order values live in indicator.csv only, so no summary list
+    # is longer than the number of regions.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"orders": list(range(1, MAX_SWEEP_ORDER + 1))}))
+    out = tmp_path / "out"
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "indicator.json").read_text())
-    assert set(payload) == {"experiment", "config", "summary"}
-    assert payload["experiment"] == "indicator"
-    assert "out_dir" not in payload["config"]
-    assert payload["summary"]["passed"] is True
-    verdicts = [entry["verdict"] for entry in payload["summary"]["regions"]]
-    assert verdicts == ["Bounded", "BlowUp"]
-    assert set(payload["summary"]["regions"][0]) == {"region", "expect", "verdict", "values", "growth_ratios", "limit_bound"}
+    n_regions = len(payload["config"]["regions"])
+
+    def lists(value):
+        if isinstance(value, dict):
+            for item in value.values():
+                yield from lists(item)
+        elif isinstance(value, list):
+            yield value
+            for item in value:
+                yield from lists(item)
+
+    assert max(len(found) for found in lists(payload["summary"])) == n_regions
+    assert len(indicator_values(out)) == n_regions
 
 
 def test_csv_headers(tmp_path):
@@ -168,6 +216,8 @@ CONFIG_ERRORS = [
     ("indicator", {"regions": [{"center": [0, 0], "radius": 0.5, "expct": "BlowUp"}]}),
     # A Runge region has one verdict, BlowUp, so it takes no "expect".
     ("runge", {"runge_region": {"center": [1.3, 0], "radius": 0.25, "expect": "Bounded"}}),
+    # 2 pi / t overflows the float64 range below t = 3.5e-308.
+    ("runge", {"t_values": [3e-308, 2e-308, 1.5e-308]}),
 ]
 FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
 
@@ -232,10 +282,12 @@ def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
     assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
-    summary = json.loads((out / "runge.json").read_text())["summary"]
+    payload = json.loads((out / "runge.json").read_text())
+    summary = payload["summary"]
     assert summary["verdict"] == "undefined"
-    first = summary["t_values"][0]
-    assert summary["pairings"][0] <= 0.0 and summary["certified_lower"][0] <= 0.0
+    first = payload["config"]["t_values"][0]
+    row = next(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+    assert float(row["pairing"]) <= 0.0 and summary["certified_lower"][0] <= 0.0
     assert any(line.startswith(f"t={first}: pairing") and "misses 2 pi / t" in line for line in summary["failures"])
     assert any(line.startswith(f"t={first}: certified bound") and "not below 1" in line for line in summary["failures"])
 
@@ -245,11 +297,12 @@ def test_runge_certified_lower_bound_at_the_defaults(tmp_path):
     # (1 - pairing_bound) 2 pi / t bounds it from below.
     out = tmp_path / "out"
     assert main(["runge", "--out", str(out)]) == EXIT_OK
-    summary = json.loads((out / "runge.json").read_text())["summary"]
+    payload = json.loads((out / "runge.json").read_text())
+    summary = payload["summary"]
     rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
     assert summary["verdict"] == "BlowUp"
-    for t, lower, pairing, row in zip(summary["t_values"], summary["certified_lower"], summary["pairings"], rows, strict=True):
-        bound = float(row["pairing_bound"])
+    for t, lower, row in zip(payload["config"]["t_values"], summary["certified_lower"], rows, strict=True):
+        bound, pairing = float(row["pairing_bound"]), float(row["pairing"])
         assert bound < 1.0
         assert lower == (1.0 - bound) * (2.0 * np.pi / t)
         assert 0.0 < lower <= pairing
@@ -278,20 +331,20 @@ def test_runge_pairings_do_not_depend_on_the_boundary_radius(tmp_path):
     # The pairing is -2 pi dx P(0) and the fit never uses R, so the run
     # passes even where the gap trace's R^-2 underflows (R > ~1e154), up
     # to float max, where R dx P(0) and |R e^{i theta}| overflow.
-    summaries, rows = {}, {}
+    configs, rows = {}, {}
     radii = (2.0, 1e155, 1e300, sys.float_info.max)
     for radius in radii:
         path = tmp_path / f"cfg{radius:g}.json"
         path.write_text(json.dumps({"boundary_radius": radius}))
         out = tmp_path / f"out{radius:g}"
         assert main(["runge", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        summaries[radius] = json.loads((out / "runge.json").read_text())["summary"]
+        configs[radius] = json.loads((out / "runge.json").read_text())["config"]
         rows[radius] = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
     for radius in radii[1:]:
-        assert summaries[radius]["pairings"] == summaries[2.0]["pairings"]
-        assert summaries[radius]["scaled_values"] == summaries[2.0]["scaled_values"]
+        for column in ("pairing", "value"):
+            assert [float(row[column]) for row in rows[radius]] == [float(row[column]) for row in rows[2.0]]
     # Far out, log10 max |P| on r = R grows by N = 32 per decade of R.
-    order = summaries[2.0]["order"]
+    order = configs[2.0]["runge_order"]
     for top, below in zip(rows[sys.float_info.max], rows[1e300], strict=True):
         assert math.isfinite(float(top["log10_max_g"]))
         growth = float(top["log10_max_g"]) - float(below["log10_max_g"])
@@ -301,9 +354,10 @@ def test_runge_pairings_do_not_depend_on_the_boundary_radius(tmp_path):
 def test_runge_json_holds_convergence_table(tmp_path):
     out = tmp_path / "out"
     assert main(["runge", "--out", str(out)]) == EXIT_OK
-    summary = json.loads((out / "runge.json").read_text())["summary"]
+    payload = json.loads((out / "runge.json").read_text())
+    summary = payload["summary"]
     rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
-    assert [entry["t"] for entry in summary["convergence"]] == summary["t_values"]
+    assert [entry["t"] for entry in summary["convergence"]] == payload["config"]["t_values"]
     for entry, row in zip(summary["convergence"], rows, strict=True):
         assert entry["orders"] == [8, 16, 24, 32]
         assert len(entry["rel_err"]) == len(entry["pairing_bound"]) == len(entry["residual"]) == 4
@@ -348,8 +402,7 @@ def test_indicator_with_every_value_inf_writes_finite_ticks(tmp_path):
     config.write_text(json.dumps({"eps": 1e308}))
     out = tmp_path / "out"
     assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    payload = json.loads((out / "indicator.json").read_text())
-    assert all(v == "inf" for region in payload["summary"]["regions"] for v in region["values"])
+    assert all(v == math.inf for values in indicator_values(out) for v in values)
     assert "nan" not in (out / "indicator.svg").read_text()
 
 
@@ -362,7 +415,7 @@ def test_indicator_runs_at_the_order_cap(tmp_path):
     assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
     payload = json.loads((out / "indicator.json").read_text())
     bounded, blow_up = payload["summary"]["regions"]
-    assert blow_up["verdict"] == "BlowUp" and blow_up["values"] == ["inf"] * 3
+    assert blow_up["verdict"] == "BlowUp" and indicator_values(out)[1] == [math.inf] * 3
     assert bounded["verdict"] == "Bounded"
 
 
@@ -481,10 +534,10 @@ def test_enclosure_and_indicator_run_at_huge_radius(tmp_path, capsys, radius):
 
     assert main(["indicator", "--out", str(tmp_path / "at2")]) == EXIT_OK
     assert main(["indicator", "--R", repr(radius), "--out", str(tmp_path / "huge")]) == EXIT_OK
-    values = [json.loads((tmp_path / d / "indicator.json").read_text())["summary"]["regions"] for d in ("at2", "huge")]
-    assert [r["verdict"] for r in values[0]] == [r["verdict"] for r in values[1]]
-    for ref, got in zip(*values):
-        np.testing.assert_allclose(got["values"], ref["values"], rtol=1e-15, atol=0.0)
+    regions = [json.loads((tmp_path / d / "indicator.json").read_text())["summary"]["regions"] for d in ("at2", "huge")]
+    assert [r["verdict"] for r in regions[0]] == [r["verdict"] for r in regions[1]]
+    for ref, got in zip(*(indicator_values(tmp_path / d) for d in ("at2", "huge")), strict=True):
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -663,7 +716,8 @@ def test_origin_just_inside_a_near_tangent_disk_is_bounded(tmp_path):
     out = tmp_path / "out"
     assert main(["indicator", "--config", str(config), "--out", str(out)]) == EXIT_OK
     (region,) = json.loads((out / "indicator.json").read_text())["summary"]["regions"]
-    assert region["values"][-1] <= region["limit_bound"] < math.inf
+    (values,) = indicator_values(out)
+    assert values[-1] <= region["limit_bound"] < math.inf
 
 
 def test_indicator_runs_on_tiny_disks(tmp_path, capsys):
@@ -683,10 +737,10 @@ def test_indicator_runs_on_tiny_disks(tmp_path, capsys):
         summary = json.loads((out / "indicator.json").read_text())["summary"]
         verdicts = [region["verdict"] for region in summary["regions"]]
         assert verdicts == ["BlowUp", "Bounded", "Bounded", "BlowUp"]
-        for region in summary["regions"]:
+        for region, values in zip(summary["regions"], indicator_values(out), strict=True):
             if region["verdict"] == "Bounded":
-                assert all(isinstance(v, float) for v in region["values"])
-                assert region["values"][-1] <= region["limit_bound"] < math.inf
+                assert all(math.isfinite(v) for v in values)
+                assert values[-1] <= region["limit_bound"] < math.inf
             elif region["verdict"] == "BlowUp":
                 assert region["limit_bound"] == "inf"
     assert "Traceback" not in capsys.readouterr().err

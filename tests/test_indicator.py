@@ -901,5 +901,5 @@ def test_indicator_curve_validation():
         IndicatorCurve(parameter="x", grid=np.array([1.0]), values=np.array([1.0]), eps=EPS)
     with pytest.raises(ValueError):
         IndicatorCurve(parameter="t", grid=np.array([1.0, 2.0]), values=np.array([1.0]), eps=EPS)
-    curve = IndicatorCurve(parameter="t", grid=np.array([0.5, 0.25]), values=np.array([2.0, 4.0]), eps=EPS)
-    assert_allclose(curve.growth_ratios, [2.0], rtol=1e-15)
+    curve = IndicatorCurve(parameter="t", grid=np.array([0.5, 0.25]), values=np.array([2, 4]), eps=EPS)
+    assert curve.values.dtype == float and curve.values.tolist() == [2.0, 4.0] and not curve.values.flags.writeable
