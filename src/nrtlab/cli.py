@@ -73,8 +73,6 @@ MAX_TAU_VALUES = 1000
 # The largest seed: 64 bits of entropy for numpy's generator.
 MAX_SEED = 2**64 - 1
 
-SWEEP_COLUMNS = ["N_or_t", "eps", "value", "verdict"]
-
 
 class ConfigError(ValueError):
     """Raised when the merged configuration cannot drive an experiment."""
@@ -384,7 +382,6 @@ def run_indicator(cfg: RunConfig) -> tuple:
                               "passes through the origin; the sweep verdict is undefined there")
         parsed.append((region, entry.get("expect")))
 
-    table = {column: [] for column in ["region"] + SWEEP_COLUMNS}
     region_summaries = []
     failures = []
     curves = []
@@ -392,10 +389,6 @@ def run_indicator(cfg: RunConfig) -> tuple:
         label = f"disk({region.center[0]:g},{region.center[1]:g};r={region.radius:g})"
         curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, cfg.orders)
         curves.append((label, curve))
-        n = len(cfg.orders)
-        cells = [[label] * n, cfg.orders, [curve.eps] * n, curve.values.tolist(), [curve.verdict.value] * n]
-        for column, values in zip(table, cells):
-            table[column].extend(values)
         region_summaries.append(
             {
                 "region": label,
@@ -406,6 +399,16 @@ def run_indicator(cfg: RunConfig) -> tuple:
         if expect is not None and curve.verdict.value != expect:
             failures.append(f"region {idx} verdict {curve.verdict.value} != expected {expect}")
 
+    # Rows run over regions, then orders.  The float columns go as arrays,
+    # so each distinct value is formatted once.
+    n = len(cfg.orders)
+    table = {
+        "region": [label for label, _ in curves for _ in range(n)],
+        "N_or_t": cfg.orders * len(curves),
+        "eps": np.full(n * len(curves), float(cfg.eps)),
+        "value": np.concatenate([curve.values for _, curve in curves]),
+        "verdict": [curve.verdict.value for _, curve in curves for _ in range(n)],
+    }
     summary = {"regions": region_summaries}
     chart = partial(
         svgplot.line_chart,

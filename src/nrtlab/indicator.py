@@ -345,13 +345,6 @@ def validate_orders(orders) -> list[int]:
     return checked
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    top = float(np.max(x))
-    if not np.isfinite(top):
-        return top
-    return top + float(np.log(np.sum(np.exp(x - top))))
-
-
 def _series_log_terms(cavity: DiskRegion, order: int) -> np.ndarray:
     """log(l(e)^2 / ||e||^2_H1(G)) per orthogonal order k = 0..order on the disk G.
 
@@ -404,8 +397,16 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
         raise ValueError(f"constraint radius eps must be positive and finite, got {eps}")
 
     terms = _series_log_terms(cavity, orders[-1])
-    starts = [0] + [n + 1 for n in orders[:-1]]
-    blocks = np.array([_logsumexp(terms[a : n + 1]) for a, n in zip(starts, orders)])
+    # Block j holds the terms orders[j - 1] < k <= orders[j], summed in log
+    # space less its own maximum: one shift for all would underflow the early
+    # orders, whose terms span e^+-3000 at order 1024.  An all -inf block
+    # (each after the first on a centred disk) is shifted by 0 and logs to -inf.
+    ends = np.array(orders) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    top = np.maximum.reduceat(terms, starts)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        blocks = shift + np.log(np.add.reduceat(np.exp(terms - np.repeat(shift, ends - starts)), starts))
     log_sq = np.logaddexp.accumulate(blocks)
     log_limit = np.inf
     if where is OriginLocation.INSIDE:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+MARKER_RADIUS = 3.0
 
 
 def _fmt(x: float) -> str:
@@ -88,7 +89,9 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
     """Write a line chart; series is a list of (label, xs, ys) triples.
 
     Log axes require strictly positive data on that axis; nonpositive
-    points are dropped from log-scaled plots.
+    points are dropped from log-scaled plots.  A series marks its points
+    only while they number at most plot width / marker diameter (91 at
+    the default 640 px), so a long series is drawn as its line alone.
     """
     cleaned = []
     for label, xs, ys in series:
@@ -132,11 +135,13 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
         color = PALETTE[idx % len(PALETTE)]
         if xs.size == 0:
             continue
-        px = left + np.array([fx(v) for v in xs]) * plot_w
-        py = top + plot_h - np.array([fy(v) for v in ys]) * plot_h
+        px = left + fx(xs) * plot_w
+        py = top + plot_h - fy(ys) * plot_h
         cv.polyline(px, py, color)
-        for x, y in zip(px, py):
-            cv.circle(x, y, 3.0, fill=color)
+        # Markers only while the points could sit a marker apart across the plot.
+        if xs.size * 2.0 * MARKER_RADIUS <= plot_w:
+            for x, y in zip(px, py):
+                cv.circle(x, y, MARKER_RADIUS, fill=color)
         if label:
             cv.text(left + plot_w - 6, top + 16 + 16 * idx, label, size=11, anchor="end", fill=color)
     cv.write(path)

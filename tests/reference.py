@@ -23,7 +23,10 @@ rather than in the package.  Each keeps the guards it had there:
   a real build about |center| and a phase twist;
 * the sign-indefiniteness certificate on a polar sample grid of its
   patch, the route that `sign_indefiniteness_certificate` replaces by
-  comparing the patch radius with sqrt(2) y3.
+  comparing the patch radius with sqrt(2) y3;
+* the indicator sweep with one log-sum-exp per order block, each its own
+  max, exp, sum and log, the route that `indicator_sweep` replaces by
+  one reduceat pass over every block.
 
 The quadrature Gram system and its sup stay in nrtlab.indicator, next
 to the disk quadrature they use.
@@ -38,9 +41,9 @@ from fractions import Fraction
 import numpy as np
 
 from nrtlab.checks import probe_kernel
-from nrtlab.geometry import DiskRegion, QuadratureRule, as_points
+from nrtlab.geometry import DiskRegion, OriginLocation, QuadratureRule, as_points, point_power
 from nrtlab.harmonic import BoundaryData, HarmonicSeries
-from nrtlab.indicator import RungeFit
+from nrtlab.indicator import IndicatorCurve, RungeFit, Verdict, _series_log_terms
 
 
 def boundary_eval(g: BoundaryData, theta):
@@ -404,3 +407,39 @@ def polar_grid_certificate(y3_list, patch_radius: float) -> bool:
         if not (has_negative and np.any(vals > 0.0)):
             return False
     return True
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    top = float(np.max(x))
+    if not np.isfinite(top):
+        return top
+    return top + float(np.log(np.sum(np.exp(x - top))))
+
+
+def blockwise_indicator_sweep(cavity: DiskRegion, eps: float, orders) -> IndicatorCurve:
+    """indicator_sweep on a disk whose boundary misses the origin, one _logsumexp per order block.
+
+    The inside tail and the eps scaling are the sweep's own; only the
+    block sums differ, each block shifted by its own maximum.
+    """
+    orders = [int(n) for n in orders]
+    where = cavity.classify_origin()
+    terms = _series_log_terms(cavity, orders[-1])
+    starts = [0] + [n + 1 for n in orders[:-1]]
+    blocks = np.array([_logsumexp(terms[a : n + 1]) for a, n in zip(starts, orders)])
+    log_sq = np.logaddexp.accumulate(blocks)
+    log_limit = np.inf
+    if where is OriginLocation.INSIDE:
+        n, log_rho, abs_c = orders[-1], math.log(cavity.radius), math.hypot(*cavity.center)
+        log_q = 2.0 * (math.log(abs_c) - log_rho) if abs_c > 0.0 else -np.inf
+        power, denom = point_power((0.0, 0.0), cavity.center, cavity.radius)
+        a, b = cavity.radius.as_integer_ratio()
+        gap = -power * b * b / (denom * a * a)
+        tail = math.log(4.0 * np.pi) - 2.0 * log_rho + n * log_q + math.log1p(n * gap) - 2.0 * math.log(gap)
+        log_limit = np.logaddexp(log_sq[-1], tail)
+    with np.errstate(over="ignore"):
+        log_all = 0.5 * np.append(log_sq, log_limit)
+        gain = np.exp(log_all)
+        scaled = np.where((gain >= np.finfo(float).tiny) & np.isfinite(gain), eps * gain, np.exp(math.log(eps) + log_all))
+    verdict = Verdict.BOUNDED if where is OriginLocation.INSIDE else Verdict.BLOW_UP
+    return IndicatorCurve("N", np.array(orders, dtype=float), scaled[:-1], float(eps), verdict, float(scaled[-1]))

@@ -38,7 +38,7 @@ from nrtlab.indicator import (
     sup_indicator,
     validate_orders,
 )
-from reference import complex_arnoldi_taylor, exact_power, h1_inner, near, point_space_runge_fit, scaled_sequence
+from reference import blockwise_indicator_sweep, complex_arnoldi_taylor, exact_power, h1_inner, near, point_space_runge_fit, scaled_sequence
 
 R = 2.0
 EPS = 1e-3
@@ -435,6 +435,45 @@ def test_limit_bound_is_the_tail_closed_form():
     curve = indicator_sweep(DiskRegion((c, 0.0), rho), R, EPS, [4, n])
     assert_allclose(curve.limit_bound, EPS * np.sqrt(sum(terms) + tail), rtol=1e-14)
     assert np.isposinf(indicator_sweep(DiskRegion((1.3, 0.0), 0.25), R, EPS, [4, 8]).limit_bound)
+
+
+# region-map's disk classes as (|c| / rho range, radius range), and its
+# anchors, the first of them centred, as perfbench/workloads.py draws them.
+REGION_MAP_CLASSES = (((0.0, 0.2), (0.1, 0.8)), ((0.2, 0.9), (0.1, 0.8)), ((1.1, 2.0), (0.1, 0.8)), ((2.0, 6.0), (0.1, 0.6)))
+REGION_MAP_ANCHORS = (((0.0, 0.0), 0.5), ((1.3, 0.0), 0.25), ((0.365, 0.0), 0.546))
+
+
+def region_map_disks(seed: int, per_class: int) -> list:
+    rng = np.random.default_rng(seed)
+    disks = list(REGION_MAP_ANCHORS)
+    for (q_lo, q_hi), (r_lo, r_hi) in REGION_MAP_CLASSES:
+        for rho, u, angle in zip(rng.uniform(r_lo, r_hi, per_class), rng.random(per_class), rng.uniform(0.0, 2.0 * np.pi, per_class)):
+            q = q_lo + u * (min(q_hi, (1.9 - rho) / rho) - q_lo)
+            disks.append(((q * rho * math.cos(angle), q * rho * math.sin(angle)), float(rho)))
+    return disks
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("orders", [[4, 8, 16, 24, 32], list(range(1, 1025)), [1, 2, 3, 1024], list(range(8, 1025, 8))])
+def test_indicator_sweep_blocks_round_like_one_logsumexp_per_block(orders):
+    # One reduceat pass against a max, exp, sum and log per block: the sums
+    # may round differently, and one unit of a log S_N near L moves I_N by
+    # about L u relative, so the bar is 8 u max(1, |log S_N|) with
+    # S_N = (I_N / eps)^2.  With eps = 1e-3 a value near 1 has log I_N near
+    # 0 but log S_N near 14, so a bar in log I_N would be 14 times too tight.
+    u = 2.0**-53
+    for center, rho in region_map_disks(11, 25):
+        region = DiskRegion(center, rho)
+        curve = indicator_sweep(region, R, EPS, orders)
+        reference = blockwise_indicator_sweep(region, EPS, orders)
+        assert curve.verdict is reference.verdict
+        got = np.append(curve.values, curve.limit_bound)
+        want = np.append(reference.values, reference.limit_bound)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want)) and np.array_equal(got[np.isinf(got)], want[np.isinf(want)])
+        finite = np.isfinite(want)
+        log_s = 2.0 * (np.log(want[finite]) - math.log(EPS))
+        bar = 8.0 * u * np.maximum(1.0, np.abs(log_s)) * want[finite]
+        assert np.all(np.abs(got[finite] - want[finite]) <= bar), (center, rho)
 
 
 def test_indicator_sweep_validates_orders():

@@ -177,6 +177,16 @@ def test_sign_panels_match_reference(tmp_path):
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "reference.svg").read_bytes()
 
 
+@pytest.mark.parametrize("points,circles", [(56, 56), (91, 91), (92, 0), (1024, 0)])
+def test_line_chart_marks_points_only_while_markers_fit(tmp_path, points, circles):
+    # 550 px of plot at the default width hold 91 markers of 6 px side by side.
+    xs = np.arange(1.0, points + 1.0)
+    svgplot.line_chart(tmp_path / "chart.svg", [("s", xs, xs**2)], logy=True)
+    text = (tmp_path / "chart.svg").read_text()
+    assert text.count("<circle") == circles
+    assert text.count("<polyline") == 1 and text.split('points="')[1].split('"')[0].count(",") == points
+
+
 def test_default_sign_map_matches_reference(tmp_path, monkeypatch):
     captured = {}
     draw = svgplot.sign_panels
