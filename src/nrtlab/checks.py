@@ -2,8 +2,9 @@
 
 Three independent consistency routes for the cavity measurement:
 
-* the Fourier pairing on r = R against the gradient of the harmonic
-  lift at the origin, which must agree for every boundary datum;
+* the Fourier pairing on r = R against -2 pi dx z_g(0) for the harmonic
+  lift z_g, taken in closed form from the datum's cos(theta) mode, which
+  must agree for every boundary datum;
 * the sign of the second-normal-derivative kernel -d^2/dy3^2 (1/|x - y|)
   restricted to a horizontal plane, exactly sign(|x|^2 - 2 y3^2): each
   sampled cell is checked against it, one ray estimates the zero circle,
@@ -30,7 +31,6 @@ from .harmonic import (
     BoundaryData,
     annulus_neumann_solution,
     boundary_pairing,
-    dirichlet_disk_solve,
     gap_neumann_trace,
 )
 
@@ -51,17 +51,21 @@ def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: Bound
 
     Returns (pairing, gradient_form) where pairing integrates the
     Neumann gap trace against g over r = R and gradient_form is
-    -2 pi dx z_g(0) for the harmonic lift z_g.  The two agree mode by
-    mode, so their difference is a pure roundoff residual.  w_trace is
-    the explicit cavity's gap trace at this R; a caller that pairs many
-    data passes it in once instead of having it rebuilt per datum.
+    -2 pi dx z_g(0) for the harmonic lift z_g.  The lift carries mode n
+    as g_n (r/R)^n, so only mode 1 has a gradient at the origin, and
+    dx z_g(0) = g_1 / R.  The two sides agree mode by mode, so their
+    difference is a pure roundoff residual.  w_trace is the explicit
+    cavity's gap trace at this R; a caller that pairs many data passes
+    it in once instead of having it rebuilt per datum.
     """
     if w_trace is None:
         w_trace = gap_neumann_trace(annulus_neumann_solution(boundary_radius), boundary_radius)
     pairing = boundary_pairing(w_trace, data, boundary_radius)
-    lift = dirichlet_disk_solve(data, boundary_radius)
-    grad0 = lift.grad((0.0, 0.0))
-    return pairing, -2.0 * np.pi * float(grad0[0])
+    # R^-1 from numpy's array power, as dirichlet_disk_solve damps mode 1:
+    # Python's R ** -1.0 differs from it in the last bit for some R.  The
+    # 0.0 + turns a -0.0 mode into the lift's +0.0 gradient.
+    dx_lift = 0.0 + data.cos_coeff[1] * (boundary_radius ** -np.arange(2.0))[1] if data.max_order >= 1 else 0.0
+    return pairing, -2.0 * np.pi * float(dx_lift)
 
 
 def probe_kernel(x1, x2, y3: float):

@@ -8,26 +8,11 @@ serves the Gram reference of the indicator module.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def as_points(points) -> tuple[np.ndarray, bool]:
-    """Normalize point input to an (n, 2) float array.
-
-    Accepts a single point (any length-2 sequence) or an (n, 2) array.
-    Returns the array together with a flag telling whether the input was
-    a single point, so callers can unwrap scalar results.
-    """
-    arr = np.atleast_2d(np.asarray(points, dtype=float))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected a point or an (n, 2) array, got shape {np.shape(points)}")
-    single = np.asarray(points).ndim == 1
-    return arr, single
 
 
 class OriginLocation(enum.Enum):
@@ -124,17 +109,6 @@ class QuadratureRule:
         return self.nodes.shape[0]
 
 
-@functools.lru_cache(maxsize=32)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # numpy's leggauss costs milliseconds at the orders Runge fits use,
-    # and every fit asks for the same few; the arrays are shared, so
-    # they are read-only.
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: int) -> QuadratureRule:
     """Tensor rule on a disk: Gauss-Legendre in radius, trapezoid in angle.
 
@@ -146,7 +120,7 @@ def build_disk_quadrature(region: DiskRegion, radial_order: int, angular_order: 
     """
     if radial_order < 1 or angular_order < 1:
         raise ValueError("quadrature orders must be >= 1")
-    x, wx = _gauss_legendre(radial_order)
+    x, wx = np.polynomial.legendre.leggauss(radial_order)
     r = 0.5 * region.radius * (x + 1.0)
     wr = wx * (0.5 * region.radius) * r
     theta = 2.0 * np.pi * np.arange(angular_order) / angular_order

@@ -3,23 +3,18 @@
 A harmonic function on an annulus around the origin is stored through
 its expansion
 
-    f(r, theta) = a_0 + gamma * log r
-               + sum_n r^n  (a_n cos n*theta + b_n sin n*theta)
-               + sum_n r^-n (c_n cos n*theta + d_n sin n*theta),
+    f(r, theta) = a_0 + sum_n r^n  (a_n cos n*theta + b_n sin n*theta)
+                      + sum_n r^-n (c_n cos n*theta + d_n sin n*theta),
 
-equivalently f = Re(F(z)) + gamma * log|z| with
-F(z) = a_0 + sum_n (a_n - i b_n) z^n + sum_n (c_n + i d_n) z^-n.
-Gradients go through the complex form, which keeps the cos/sin
-bookkeeping in one place and avoids pow() edge cases at the origin.
-Functions with singular terms (negative powers or the log) refuse
-evaluation at the origin.
-
-The module also provides the closed-form annulus problem the package
-is built around: the Laplace solution with zero Neumann data on the
-inner circle r = 1 and prescribed Dirichlet values on r = R, its
-harmonic extension to the punctured disk, the full-disk comparison
-solution sharing the Dirichlet trace, and the boundary pairing in
-Fourier form on r = R.
+a regular part in r^n and a singular part in r^-n.  The module keeps
+the coefficients and the closed-form problem the package is built
+around: the Laplace solution with zero Neumann data on the inner circle
+r = 1 and prescribed Dirichlet values on r = R, its harmonic extension
+to the punctured disk, the full-disk comparison solution sharing the
+Dirichlet trace, and the boundary pairing in Fourier form on r = R.
+Point values and gradients are not needed by any experiment; the
+gradient at the origin that the pairing identity compares against has
+a closed form (see nrtlab.checks.gradient_identity).
 """
 
 from __future__ import annotations
@@ -27,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .geometry import as_points
 
 
 def _coeff_array(values, name: str) -> np.ndarray:
@@ -86,14 +79,11 @@ class BoundaryData:
             sin_coeff[order] = amplitude
         return cls(cos_coeff, sin_coeff)
 
-    def scaled(self, factor: float) -> "BoundaryData":
-        return BoundaryData(self.cos_coeff * factor, self.sin_coeff * factor)
 
-
-def random_boundary_data(order: int, rng: np.random.Generator, scale: float = 1.0) -> BoundaryData:
-    """Boundary data with independent N(0, scale^2) Fourier coefficients."""
-    cos_coeff = scale * rng.standard_normal(order + 1)
-    sin_coeff = scale * rng.standard_normal(order + 1)
+def random_boundary_data(order: int, rng: np.random.Generator) -> BoundaryData:
+    """Boundary data with independent standard normal Fourier coefficients."""
+    cos_coeff = rng.standard_normal(order + 1)
+    sin_coeff = rng.standard_normal(order + 1)
     sin_coeff[0] = 0.0
     return BoundaryData(cos_coeff, sin_coeff)
 
@@ -105,16 +95,13 @@ class HarmonicSeries:
     Coefficient arrays are indexed by mode number n.  regular_* hold the
     r^n terms (regular_cos[0] is the constant, regular_sin[0] is unused
     and forced to zero), singular_* hold the r^-n terms with the n = 0
-    slots unused, and log_coeff multiplies log r.  Singular terms and
-    the log make the function undefined at the origin; its gradient
-    there raises instead of returning garbage.
+    slots unused.
     """
 
     regular_cos: np.ndarray
     regular_sin: np.ndarray
     singular_cos: np.ndarray = field(default=None)
     singular_sin: np.ndarray = field(default=None)
-    log_coeff: float = 0.0
 
     def __post_init__(self):
         regular_cos = _coeff_array(self.regular_cos, "regular_cos")
@@ -135,47 +122,10 @@ class HarmonicSeries:
                 arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "regular_cos", regular_cos)
-        object.__setattr__(self, "log_coeff", float(self.log_coeff))
-        if not np.isfinite(self.log_coeff):
-            raise ValueError("log_coeff must be finite")
 
     @property
     def max_order(self) -> int:
         return self.regular_cos.size - 1
-
-    @property
-    def has_singular_part(self) -> bool:
-        return bool(np.any(self.singular_cos) or np.any(self.singular_sin) or self.log_coeff != 0.0)
-
-    def _complex_input(self, points) -> tuple[np.ndarray, bool]:
-        pts, single = as_points(points)
-        z = pts[:, 0] + 1j * pts[:, 1]
-        if self.has_singular_part and np.any(z == 0.0):
-            raise ValueError("series with singular terms cannot be evaluated at the origin")
-        return z, single
-
-    def grad(self, points):
-        """Gradient; returns (2,) for a single point, (n, 2) otherwise.
-
-        Uses f = Re(F) + gamma log|z| with grad Re(F) = (Re F', -Im F')
-        and grad log|z| = (x, y)/|z|^2 = conj(1/z) componentwise.
-        """
-        z, single = self._complex_input(points)
-        dF = np.zeros_like(z)
-        power = np.ones_like(z)
-        for n in range(1, self.max_order + 1):
-            dF = dF + n * (self.regular_cos[n] - 1j * self.regular_sin[n]) * power
-            power = power * z
-        if np.any(self.singular_cos) or np.any(self.singular_sin) or self.log_coeff != 0.0:
-            inv = 1.0 / z
-            if self.log_coeff != 0.0:
-                dF = dF + self.log_coeff * inv
-            power = inv * inv
-            for n in range(1, self.max_order + 1):
-                dF = dF - n * (self.singular_cos[n] + 1j * self.singular_sin[n]) * power
-                power = power * inv
-        out = np.column_stack([dF.real, -dF.imag])
-        return out[0] if single else out
 
 
 def annulus_neumann_solution(boundary_radius: float) -> HarmonicSeries:
@@ -223,8 +173,7 @@ def gap_neumann_trace(u: HarmonicSeries, boundary_radius: float) -> BoundaryData
 
     For w = u - v with v harmonic on the whole disk and v = u on r = R,
     only the singular part of u survives in dw/dr: mode n contributes
-    -2 n singular_n R^(-n-1) and the log term contributes gamma / R to
-    the constant mode.
+    -2 n singular_n R^(-n-1), and the constant mode is 0.
     """
     if boundary_radius <= 0.0:
         raise ValueError(f"ambient radius must be positive, got {boundary_radius}")
@@ -233,7 +182,8 @@ def gap_neumann_trace(u: HarmonicSeries, boundary_radius: float) -> BoundaryData
     factor = -2.0 * n * R ** (-n - 1.0)
     cos_coeff = u.singular_cos * factor
     sin_coeff = u.singular_sin * factor
-    cos_coeff[0] = u.log_coeff / R
+    # +0.0, not the -0.0 of factor[0]: the constant case pairs to 0.0.
+    cos_coeff[0] = 0.0
     return BoundaryData(cos_coeff, sin_coeff)
 
 

@@ -32,16 +32,15 @@ class _Canvas:
             f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         ]
 
-    def line(self, x1, y1, x2, y2, stroke="#333333", width=1.0, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2):
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{width}"{d}/>'
+            f'stroke="#333333" stroke-width="1.0"/>'
         )
 
-    def polyline(self, xs, ys, stroke, width=1.6):
+    def polyline(self, xs, ys, stroke):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-        self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{width}"/>')
+        self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="1.6"/>')
 
     def circle(self, cx, cy, r, fill="none", stroke="none", width=1.0, dash=None):
         d = f' stroke-dasharray="{dash}"' if dash else ""
@@ -85,13 +84,13 @@ def _axis_transform(lo: float, hi: float, log: bool):
     return to_unit, positions, labels
 
 
-def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=False, width=640, height=420):
+def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=False):
     """Write a line chart; series is a list of (label, xs, ys) triples.
 
     Log axes require strictly positive data on that axis; nonpositive
     points are dropped from log-scaled plots.  A series marks its points
-    only while they number at most plot width / marker diameter (91 at
-    the default 640 px), so a long series is drawn as its line alone.
+    only while they number at most plot width / marker diameter (91 on
+    the 550 px plot), so a long series is drawn as its line alone.
     """
     cleaned = []
     for label, xs, ys in series:
@@ -107,6 +106,7 @@ def line_chart(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fa
     all_x = np.concatenate([xs for _, xs, _ in cleaned if xs.size]) if any(xs.size for _, xs, _ in cleaned) else np.array([1.0, 10.0])
     all_y = np.concatenate([ys for _, _, ys in cleaned if ys.size]) if any(ys.size for _, _, ys in cleaned) else np.array([1.0, 10.0])
 
+    width, height = 640, 420
     left, right, top, bottom = 70, 20, 40, 55
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -176,13 +176,14 @@ def sign_codes(values: np.ndarray) -> np.ndarray:
     return codes
 
 
-def sign_panels(path, fields, title="", panel_size=260, gap=24):
+def sign_panels(path, fields, title=""):
     """Write side-by-side sign maps; fields is a list of SignField objects.
 
     Cells are run-length merged along rows, negative values shade blue
     and positive red, and the predicted zero circle is overlaid dashed.
     """
     n = len(fields)
+    panel_size, gap = 260, 24
     margin = 30
     width = margin * 2 + n * panel_size + (n - 1) * gap
     height = margin + 46 + panel_size + 34

@@ -3,8 +3,11 @@
 No nrtlab subcommand reaches any of these, so they live with the tests
 rather than in the package.  Each keeps the guards it had there:
 
-* point values of boundary data and harmonic series, and a series'
-  trace on a circle, against the polar formulas typed out in the tests;
+* point input as an (n, 2) array;
+* point values of boundary data, point values and gradients of harmonic
+  series, and a series' trace on a circle, against the polar formulas
+  typed out in the tests; `nrtlab verify-identity` takes the one gradient
+  it needs, at the origin, in closed form;
 * membership in a closed disk, and the power |p - c|^2 - s^2 of a point
   in rational arithmetic, with a scan of floats next to a tie;
 * the logarithmic point source log|x - p|;
@@ -41,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from nrtlab.checks import probe_kernel
-from nrtlab.geometry import DiskRegion, OriginLocation, QuadratureRule, as_points, point_power
+from nrtlab.geometry import DiskRegion, OriginLocation, QuadratureRule, point_power
 from nrtlab.harmonic import BoundaryData, HarmonicSeries
 from nrtlab.indicator import IndicatorCurve, RungeFit, Verdict, _series_log_terms
 
@@ -55,12 +58,37 @@ def boundary_eval(g: BoundaryData, theta):
     return float(out) if out.ndim == 0 else out
 
 
+def as_points(points) -> tuple[np.ndarray, bool]:
+    """Normalize point input to an (n, 2) float array.
+
+    Accepts a single point (any length-2 sequence) or an (n, 2) array.
+    Returns the array together with a flag telling whether the input was
+    a single point, so callers can unwrap scalar results.
+    """
+    arr = np.atleast_2d(np.asarray(points, dtype=float))
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected a point or an (n, 2) array, got shape {np.shape(points)}")
+    single = np.asarray(points).ndim == 1
+    return arr, single
+
+
+def has_singular_part(s: HarmonicSeries) -> bool:
+    """True when s has r^-n terms, which make it undefined at the origin."""
+    return bool(np.any(s.singular_cos) or np.any(s.singular_sin))
+
+
+def _complex_input(s: HarmonicSeries, points) -> tuple[np.ndarray, bool]:
+    pts, single = as_points(points)
+    z = pts[:, 0] + 1j * pts[:, 1]
+    if has_singular_part(s) and np.any(z == 0.0):
+        raise ValueError("series with singular terms cannot be evaluated at the origin")
+    return z, single
+
+
 def series_eval(s: HarmonicSeries, points):
     """s at a point or an (n, 2) array of points; a series with singular terms refuses the origin."""
-    z, single = s._complex_input(points)
+    z, single = _complex_input(s, points)
     out = np.full(z.shape, s.regular_cos[0])
-    if s.log_coeff != 0.0:
-        out = out + s.log_coeff * np.log(np.abs(z))
     power = np.ones_like(z)
     for n in range(1, s.max_order + 1):
         power = power * z
@@ -74,6 +102,28 @@ def series_eval(s: HarmonicSeries, points):
     return float(out[0]) if single else out
 
 
+def series_grad(s: HarmonicSeries, points):
+    """Gradient of s; (2,) for a single point, (n, 2) otherwise.
+
+    With s = Re(F), F(z) = a_0 + sum_n (a_n - i b_n) z^n + sum_n (c_n + i d_n) z^-n,
+    grad s = (Re F', -Im F').  A series with singular terms refuses the origin.
+    """
+    z, single = _complex_input(s, points)
+    dF = np.zeros_like(z)
+    power = np.ones_like(z)
+    for n in range(1, s.max_order + 1):
+        dF = dF + n * (s.regular_cos[n] - 1j * s.regular_sin[n]) * power
+        power = power * z
+    if has_singular_part(s):
+        inv = 1.0 / z
+        power = inv * inv
+        for n in range(1, s.max_order + 1):
+            dF = dF - n * (s.singular_cos[n] + 1j * s.singular_sin[n]) * power
+            power = power * inv
+    out = np.column_stack([dF.real, -dF.imag])
+    return out[0] if single else out
+
+
 def series_trace(s: HarmonicSeries, radius: float) -> BoundaryData:
     """Dirichlet trace of s on the circle of given radius about the origin."""
     if radius <= 0.0:
@@ -81,7 +131,6 @@ def series_trace(s: HarmonicSeries, radius: float) -> BoundaryData:
     n = np.arange(s.max_order + 1)
     cos_coeff = s.regular_cos * radius**n + s.singular_cos * radius ** (-n.astype(float))
     sin_coeff = s.regular_sin * radius**n + s.singular_sin * radius ** (-n.astype(float))
-    cos_coeff[0] += s.log_coeff * np.log(radius)
     return BoundaryData(cos_coeff, sin_coeff)
 
 
@@ -144,11 +193,16 @@ def evaluate(f, points):
     return f.eval(points) if isinstance(f, LogSource) else series_eval(f, points)
 
 
+def gradient(f, points):
+    """Gradients of a LogSource or a HarmonicSeries at the points."""
+    return f.grad(points) if isinstance(f, LogSource) else series_grad(f, points)
+
+
 def singular_points(f) -> tuple[tuple[float, float], ...]:
     """Where f is undefined: a source's point, or the origin for a series with singular terms."""
     if isinstance(f, LogSource):
         return (f.point,)
-    return ((0.0, 0.0),) if f.has_singular_part else ()
+    return ((0.0, 0.0),) if has_singular_part(f) else ()
 
 
 def h1_inner(f, g, rule: QuadratureRule, region: DiskRegion) -> float:
@@ -162,7 +216,7 @@ def h1_inner(f, g, rule: QuadratureRule, region: DiskRegion) -> float:
             if disk_contains(region, point):
                 raise ValueError(f"integrand is singular at {point} inside the integration region {region}")
     dens = evaluate(f, rule.nodes) * evaluate(g, rule.nodes)
-    dens = dens + np.einsum("ij,ij->i", f.grad(rule.nodes), g.grad(rule.nodes))
+    dens = dens + np.einsum("ij,ij->i", gradient(f, rule.nodes), gradient(g, rule.nodes))
     return float(rule.weights @ dens)
 
 
@@ -232,8 +286,8 @@ def contour_pairing_pieces(f, z, contour: CircleContour, quad: QuadratureRule | 
         raise ValueError("contour pairing requires a rule whose nodes lie on the contour")
     pts = quad.nodes
     normal = (pts - np.asarray(contour.center)) / contour.radius
-    fn_flux = np.einsum("ij,ij->i", f.grad(pts), normal)
-    zn_flux = np.einsum("ij,ij->i", z.grad(pts), normal)
+    fn_flux = np.einsum("ij,ij->i", gradient(f, pts), normal)
+    zn_flux = np.einsum("ij,ij->i", gradient(z, pts), normal)
     flux_term = float(quad.weights @ (fn_flux * evaluate(z, pts)))
     value_term = float(quad.weights @ (evaluate(f, pts) * zn_flux))
     return flux_term, value_term
@@ -258,7 +312,8 @@ def scaled_sequence(fit: RungeFit, eps: float) -> BoundaryData:
         raise ValueError(f"eps must be positive, got {eps}")
     if fit.norm_on_G <= 0.0:
         raise ValueError("probe norm on the test region vanishes; cannot scale")
-    return fit.g.scaled(eps / (2.0 * fit.norm_on_G))
+    scale = eps / (2.0 * fit.norm_on_G)
+    return BoundaryData(fit.g.cos_coeff * scale, fit.g.sin_coeff * scale)
 
 
 def arnoldi_on_points(z: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,8 +34,8 @@ from nrtlab.checks import (
     sign_map,
     validate_taus,
 )
-from nrtlab.harmonic import BoundaryData, random_boundary_data
-from reference import polar_grid_certificate
+from nrtlab.harmonic import BoundaryData, dirichlet_disk_solve, random_boundary_data
+from reference import polar_grid_certificate, series_grad
 
 R = 2.0
 
@@ -59,11 +59,29 @@ def test_gradient_identity_single_modes():
         assert gradient_form == 0.0
 
 
+def test_gradient_form_is_the_lift_gradient_bit_for_bit():
+    # The closed form -2 pi g_1 / R must round exactly as the lift's
+    # gradient at the origin does, signed zeros included, up to the
+    # float maximum, where R^-1 is subnormal.
+    rng = np.random.default_rng(29)
+    data = [BoundaryData.mode(0, "cos"), BoundaryData.mode(3, "sin"), BoundaryData.mode(1, "sin")]
+    data += [BoundaryData.mode(n, "cos") for n in range(1, 5)]
+    data += [BoundaryData.mode(1, "cos", -1.0), BoundaryData([0.0, -0.0], [0.0, 0.0])]
+    data += [random_boundary_data(int(rng.integers(1, 1025)), rng) for _ in range(100)]
+    for radius in (1.0000001, 1.5, 2.0, 3.0, math.pi, 1e10, 1e154, 1e300, np.finfo(float).max):
+        for g in data:
+            _, gradient_form = gradient_identity(g, radius)
+            lift = dirichlet_disk_solve(g, radius)
+            expected = -2.0 * np.pi * float(series_grad(lift, (0.0, 0.0))[0])
+            assert gradient_form.hex() == expected.hex(), (radius, g.max_order)
+
+
 def test_gradient_identity_detects_perturbation():
     g = BoundaryData.mode(1, "cos")
     from nrtlab.harmonic import annulus_neumann_solution, gap_neumann_trace
 
-    w = gap_neumann_trace(annulus_neumann_solution(R), R).scaled(1.01)
+    w = gap_neumann_trace(annulus_neumann_solution(R), R)
+    w = BoundaryData(w.cos_coeff * 1.01, w.sin_coeff * 1.01)
     pairing, gradient_form = gradient_identity(g, R, w_trace=w)
     assert abs(pairing - gradient_form) > 1e-3
 

@@ -27,8 +27,9 @@ from nrtlab.cli import (
     MAX_TAU_VALUES,
     main,
 )
-from nrtlab import checks
+from nrtlab import checks, harmonic
 from nrtlab.checks import MAX_TAU, enclosure_bound
+from nrtlab.harmonic import BoundaryData
 from nrtlab.indicator import MAX_RUNGE_ORDER, MAX_SWEEP_ORDER
 
 ALL_COMMANDS = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
@@ -591,10 +592,31 @@ def test_sign_map_fails_on_a_moved_zero_circle(tmp_path, monkeypatch, capsys):
     assert f"failure: {failure}" in capsys.readouterr().out
 
 
+def test_verify_identity_builds_no_lift(tmp_path, monkeypatch):
+    # The gradient side is a closed form: the run must pass with every
+    # binding of the lift solver refusing to run.
+    solve = harmonic.dirichlet_disk_solve
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-identity built a harmonic lift")
+
+    for name, module in list(sys.modules.items()):
+        if name == "nrtlab" or name.startswith("nrtlab."):
+            for attr, value in list(vars(module).items()):
+                if value is solve:
+                    monkeypatch.setattr(module, attr, refuse)
+    assert main(["verify-identity", "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_perturbed_pairing_fails(tmp_path, monkeypatch, capsys):
     # A gap trace off by 1% must fail the identity check, naming the worst case.
     gap_neumann_trace = cli.gap_neumann_trace
-    monkeypatch.setattr(cli, "gap_neumann_trace", lambda u, R: gap_neumann_trace(u, R).scaled(1.01))
+
+    def perturbed(u, R):
+        w = gap_neumann_trace(u, R)
+        return BoundaryData(w.cos_coeff * 1.01, w.sin_coeff * 1.01)
+
+    monkeypatch.setattr(cli, "gap_neumann_trace", perturbed)
     out = tmp_path / "out"
     code = main(["verify-identity", "--out", str(out)])
     assert code == EXIT_CHECK_FAILED
