@@ -9,7 +9,6 @@ the underlying kernels.
 """
 
 from .checks import (
-    EnclosureSample,
     SignField,
     enclosure_bound,
     enclosure_closed_form,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryData",
     "DiskRegion",
-    "EnclosureSample",
     "GramConditioningError",
     "GramSystem",
     "HarmonicSeries",

@@ -23,16 +23,12 @@ to MAX_TAU within the a priori rounding bound of enclosure_bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonic import (
-    BoundaryData,
-    annulus_neumann_solution,
-    boundary_pairing,
-    gap_neumann_trace,
-)
+from .harmonic import BoundaryData, boundary_pairing
 
 # Trapezoid nodes on the shifted enclosure circle r = min(1, 1/tau).
 ENCLOSURE_NODES = 64
@@ -40,13 +36,16 @@ ENCLOSURE_NODES = 64
 # which would overflow near tau = 1e154; the cap keeps every sweep far
 # inside that range.
 MAX_TAU = 1e6
+# Smallest probe frequency, the smallest normal float64: below it
+# tau e^(-i phi) loses bits that enclosure_bound does not count.
+MIN_TAU = sys.float_info.min
 # Rounding steps in the enclosure_bound derivation, in units of u rho_tau.
 ENCLOSURE_KAPPA = 52
 # Rounding steps in the sign_cell_counts band, in units of u (|x|^2 + 2 y3^2).
 SIGN_KAPPA = 3
 
 
-def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: BoundaryData | None = None) -> tuple[float, float]:
+def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: BoundaryData) -> tuple[float, float]:
     """Both sides of the pairing identity for one boundary datum.
 
     Returns (pairing, gradient_form) where pairing integrates the
@@ -55,11 +54,9 @@ def gradient_identity(data: BoundaryData, boundary_radius: float, w_trace: Bound
     as g_n (r/R)^n, so only mode 1 has a gradient at the origin, and
     dx z_g(0) = g_1 / R.  The two sides agree mode by mode, so their
     difference is a pure roundoff residual.  w_trace is the explicit
-    cavity's gap trace at this R; a caller that pairs many data passes
-    it in once instead of having it rebuilt per datum.
+    cavity's gap trace at this R, built once by a caller that pairs
+    many data.
     """
-    if w_trace is None:
-        w_trace = gap_neumann_trace(annulus_neumann_solution(boundary_radius), boundary_radius)
     pairing = boundary_pairing(w_trace, data, boundary_radius)
     # R^-1 from numpy's array power, as dirichlet_disk_solve damps mode 1:
     # Python's R ** -1.0 differs from it in the last bit for some R.  The
@@ -124,7 +121,7 @@ def _radial_zero_estimate(y3: float, half_width: float, step: float) -> float:
     return float(radii[positive[0]] - 0.5 * step) if positive.size else float("nan")
 
 
-def sign_map(y3: float, half_width: float = 1.0, resolution: int = 101) -> SignField:
+def sign_map(y3: float, half_width: float, resolution: int) -> SignField:
     """Sample the restricted kernel on a centered square grid.
 
     resolution must be odd so the origin is a grid point; the kernel is
@@ -239,15 +236,13 @@ def required_enclosure_order(tau: float, boundary_radius: float) -> int:
 
 
 def validate_taus(tau_list) -> list[float]:
-    """Probe frequencies as floats: a nonempty, strictly increasing list in [tiny, MAX_TAU], else ValueError."""
+    """Probe frequencies as floats: a nonempty, strictly increasing list in [MIN_TAU, MAX_TAU], else ValueError."""
     try:
         taus = [float(v) for v in tau_list]
     except (TypeError, ValueError) as exc:
         raise ValueError(f"frequencies must be a list of numbers, got {tau_list!r}") from exc
-    # The smallest normal float64: below it tau e^(-i phi) loses bits that enclosure_bound does not count.
-    tiny = np.finfo(float).tiny
-    if not taus or not all(tiny <= v <= MAX_TAU for v in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValueError(f"frequencies must be a nonempty, strictly increasing list in [{tiny:g}, {MAX_TAU:g}], got {taus}")
+    if not taus or not all(MIN_TAU <= v <= MAX_TAU for v in taus) or any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ValueError(f"frequencies must be a nonempty, strictly increasing list in [{MIN_TAU:g}, {MAX_TAU:g}], got {taus}")
     return taus
 
 
@@ -266,8 +261,8 @@ def enclosure_indicator(tau: float, phi: float, boundary_radius: float) -> compl
     cancellation, and the trapezoid rule with ENCLOSURE_NODES nodes is
     exact to rounding: its aliasing error is below 1/63!.
     """
-    if not 0.0 < tau <= MAX_TAU:
-        raise ValueError(f"probe frequency tau must be in (0, {MAX_TAU:g}], got {tau}")
+    if not MIN_TAU <= tau <= MAX_TAU:
+        raise ValueError(f"probe frequency tau must be in [{MIN_TAU:g}, {MAX_TAU:g}], got {tau}")
     if not np.isfinite(phi):
         raise ValueError(f"probe direction phi must be finite, got {phi}")
     if boundary_radius <= 1.0:
@@ -285,23 +280,6 @@ def enclosure_indicator(tau: float, phi: float, boundary_radius: float) -> compl
     # with v - 1 keeps that zero out of the sum, which matters for tau << 1.
     total = np.sum(rotor.real * (w_r * np.expm1(z) - w * a * rotor * np.exp(z)))
     return complex(total) * (2.0 * np.pi * eta / ENCLOSURE_NODES)
-
-
-@dataclass(frozen=True)
-class EnclosureSample:
-    """One probe frequency with its computed integral value."""
-
-    tau: float
-    phi: float
-    value: complex
-
-    @property
-    def modulus(self) -> float:
-        return abs(self.value)
-
-    @property
-    def log_over_tau(self) -> float:
-        return float(np.log(self.modulus) / self.tau)
 
 
 def enclosure_bound(tau: float, boundary_radius: float) -> float:
@@ -334,7 +312,6 @@ def enclosure_bound(tau: float, boundary_radius: float) -> float:
     return ENCLOSURE_KAPPA * 2.0**-53 * max(1.0, rho)
 
 
-def enclosure_sweep(tau_list, phi: float, boundary_radius: float) -> tuple[EnclosureSample, ...]:
-    """Enclosure samples at the given probe frequencies, in order."""
-    taus = validate_taus(tau_list)
-    return tuple(EnclosureSample(tau, float(phi), enclosure_indicator(tau, phi, boundary_radius)) for tau in taus)
+def enclosure_sweep(tau_list, phi: float, boundary_radius: float) -> tuple[complex, ...]:
+    """Enclosure integrals at the given probe frequencies, in order."""
+    return tuple(enclosure_indicator(tau, phi, boundary_radius) for tau in validate_taus(tau_list))

@@ -275,8 +275,6 @@ def _parse_region(entry: dict, boundary_radius: float, label: str) -> DiskRegion
 
 
 def _jsonify(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return _jsonify(value.item())
     if isinstance(value, float):
         if np.isnan(value):
             return "nan"
@@ -386,7 +384,9 @@ def run_indicator(cfg: RunConfig) -> tuple:
     failures = []
     curves = []
     for idx, (region, expect) in enumerate(parsed):
-        label = f"disk({region.center[0]:g},{region.center[1]:g};r={region.radius:g})"
+        # Each number in its shortest round-trip form, so a label parses back to its disk.
+        cx, cy, rho = (repr(v).removesuffix(".0") for v in (*region.center, region.radius))
+        label = f"disk({cx},{cy};r={rho})"
         curve = indicator_sweep(region, cfg.boundary_radius, cfg.eps, cfg.orders)
         curves.append((label, curve))
         region_summaries.append(
@@ -575,10 +575,11 @@ def run_enclosure(cfg: RunConfig) -> tuple:
     taus = cfg.tau_values
     phi = cfg.enclosure_phi
 
-    samples = enclosure_sweep(taus, phi, cfg.boundary_radius)
-    log_over_tau = [s.log_over_tau for s in samples]
+    values = enclosure_sweep(taus, phi, cfg.boundary_radius)
+    moduli = [abs(v) for v in values]
+    log_over_tau = [float(np.log(m) / tau) for m, tau in zip(moduli, taus)]
     closed_forms = [enclosure_closed_form(tau, phi) for tau in taus]
-    rel_errs = [abs(s.value - closed) / abs(closed) for s, closed in zip(samples, closed_forms)]
+    rel_errs = [abs(v - closed) / abs(closed) for v, closed in zip(values, closed_forms)]
     bounds = [enclosure_bound(tau, cfg.boundary_radius) for tau in taus]
     failures = [f"tau={tau}: quadrature differs from -2 pi tau e^(-i phi) by rel {err:.2e}, above its bound {bound:.2e}"
                 for tau, err, bound in zip(taus, rel_errs, bounds) if not err <= bound]
@@ -586,9 +587,9 @@ def run_enclosure(cfg: RunConfig) -> tuple:
     summary = {"phi": phi}
     table = {
         "tau": taus,
-        "re": [s.value.real for s in samples],
-        "im": [s.value.imag for s in samples],
-        "modulus": [s.modulus for s in samples],
+        "re": [v.real for v in values],
+        "im": [v.imag for v in values],
+        "modulus": moduli,
         "log_over_tau": log_over_tau,
         "closed_re": [closed.real for closed in closed_forms],
         "closed_im": [closed.imag for closed in closed_forms],

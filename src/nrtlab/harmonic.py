@@ -63,7 +63,7 @@ class BoundaryData:
         return self.cos_coeff.size - 1
 
     @classmethod
-    def mode(cls, order: int, kind: str = "cos", amplitude: float = 1.0) -> "BoundaryData":
+    def mode(cls, order: int, kind: str, amplitude: float = 1.0) -> "BoundaryData":
         """Single Fourier mode amplitude*cos(n t) or amplitude*sin(n t)."""
         if order < 0:
             raise ValueError("mode order must be >= 0")

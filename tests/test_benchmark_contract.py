@@ -9,6 +9,8 @@ calls runs on no program path (the slope diagnostic, the pairing of a
 fit's boundary data), so only these tests keep a change to the package
 from breaking it.  cli-suite also scores the CLI's output files, so the
 summary keys, config keys and CSV columns it reads are pinned here.
+Last, a guard lists every function in src/ that no default subcommand
+calls, so src/ holds the program plus what perfbench names, and no more.
 """
 
 import ast
@@ -18,7 +20,9 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -140,6 +144,32 @@ def region_label_pattern():
     return re.compile(ast.literal_eval(call.args[0]))
 
 
+def test_indicator_labels_keep_every_digit(tmp_path):
+    # Regions 6 significant digits cannot tell apart get distinct labels,
+    # and each label parses back to its config entry exactly.
+    from nrtlab.cli import main
+
+    regions = [
+        {"center": [0, 0], "radius": 0.5},
+        {"center": [0, 0], "radius": 0.5000001},
+        {"center": [0.1234567, -0.3], "radius": 0.25},
+    ]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"regions": regions}))
+    out = tmp_path / "out"
+    assert main(["indicator", "--config", str(config), "--out", str(out)]) == 0
+    labels = [entry["region"] for entry in json.loads((out / "indicator.json").read_text())["summary"]["regions"]]
+    assert len(set(labels)) == len(regions)
+    pattern = region_label_pattern()
+    for label, region in zip(labels, regions):
+        cx, cy, rho = (float(g) for g in pattern.fullmatch(label).groups())
+        assert [cx, cy] == region["center"] and rho == region["radius"]
+    rows = list(csv.DictReader(io.StringIO((out / "indicator.csv").read_text())))
+    assert list(dict.fromkeys(row["region"] for row in rows)) == labels
+    svg = (out / "indicator.svg").read_text()
+    assert all(f">{label}<" in svg for label in labels)
+
+
 @pytest.mark.parametrize("command", sorted(SCORED_COLUMNS))
 def test_cli_outputs_keep_what_cli_suite_scores(tmp_path, command):
     # cli-suite refuses a run whose summary has not passed, then scores
@@ -165,3 +195,102 @@ def test_cli_outputs_keep_what_cli_suite_scores(tmp_path, command):
         assert set(config["runge_region"]) >= {"center", "radius"}
     elif command == "enclosure":
         assert math.isfinite(summary["phi"])
+
+
+# Every function in src/nrtlab/*.py that none of the five default
+# subcommands calls, with the ROADMAP item that deletes it and, for a
+# helper, the entry point through which the benchmark reaches it.  Item
+# 2 frees each entry point from perfbench, which names it; anything
+# else that the default runs never call does not belong in src/.
+OFF_THE_PROGRAM_PATH = {
+    # Item 3: the quadrature Gram path and the disk quadrature.
+    "geometry.build_disk_quadrature": (3, None),
+    "geometry.QuadratureRule.__post_init__": (3, "geometry.build_disk_quadrature"),
+    "geometry.QuadratureRule.size": (3, None),
+    "indicator.assemble_gram": (3, None),
+    "indicator.GramSystem.__post_init__": (3, "indicator.assemble_gram"),
+    "indicator.GramSystem.dim": (3, None),
+    "indicator._mode_numbers": (3, "indicator.assemble_gram"),
+    "indicator._harmonic_basis": (3, "indicator.assemble_gram"),
+    "indicator._basis_gram": (3, "indicator.assemble_gram"),
+    "indicator._truncated_eigh": (3, "indicator.sup_indicator"),
+    "indicator.sup_indicator": (3, None),
+    "checks.required_enclosure_order": (3, None),
+    # Item 5: the slope diagnostic and the fit's boundary data.
+    "indicator.log_slope": (5, "indicator.blow_up_diagnostic"),
+    "indicator.blow_up_diagnostic": (5, None),
+    "indicator.RungeFit.g": (5, None),
+    # Item 17: the harmonic lift.
+    "harmonic.dirichlet_disk_solve": (17, None),
+}
+
+# Runs in a fresh interpreter: the profile is set before nrtlab loads, so
+# module-level calls count too.  Prints each called code object's
+# (file, name, first line); a decorated function starts at its first
+# decorator, and co_qualname is not used, as Python 3.10 lacks it.
+CALL_TRACE = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+
+called = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add(frame.f_code)
+
+sys.setprofile(profile)
+import nrtlab.cli
+
+with redirect_stdout(io.StringIO()):
+    codes = [nrtlab.cli.main([command, "--out", sys.argv[1]]) for command in sys.argv[2:]]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "called": sorted((os.path.realpath(c.co_filename), c.co_name, c.co_firstlineno) for c in called)}))
+"""
+
+
+def defined_functions(package: Path) -> dict:
+    """(file, name, first line) -> module.qualified.name of every def in package/*.py."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(str(path), child.name, first)] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        path = path.resolve()
+        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return found
+
+
+def test_src_holds_only_the_program_and_what_perfbench_names(tmp_path):
+    import nrtlab.cli
+
+    package = Path(nrtlab.cli.__file__).resolve().parent
+    commands = ["verify-identity", "indicator", "runge", "sign-map", "enclosure"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CALL_TRACE, str(tmp_path), *commands],
+                          capture_output=True, text=True, check=True, env=env)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(commands)
+    called = {tuple(entry) for entry in result["called"]}
+    defined = defined_functions(package)
+    uncalled = {name for key, name in defined.items() if key not in called}
+    assert uncalled == set(OFF_THE_PROGRAM_PATH)
+
+    perfbench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    for name, (item, via) in OFF_THE_PROGRAM_PATH.items():
+        assert item in (3, 5, 17), name
+        if via is not None:
+            assert OFF_THE_PROGRAM_PATH[via][1] is None, name
+            continue
+        # A function is named in perfbench; a method or property is read off a result.
+        _, *owner, attr = name.split(".")
+        pattern = rf"\.{attr}\b" if owner else rf"\b{attr}\b"
+        assert re.search(pattern, perfbench), name

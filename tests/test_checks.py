@@ -34,27 +34,34 @@ from nrtlab.checks import (
     sign_map,
     validate_taus,
 )
-from nrtlab.harmonic import BoundaryData, dirichlet_disk_solve, random_boundary_data
+from nrtlab.harmonic import (
+    BoundaryData,
+    annulus_neumann_solution,
+    dirichlet_disk_solve,
+    gap_neumann_trace,
+    random_boundary_data,
+)
 from reference import polar_grid_certificate, series_grad
 
 R = 2.0
+W = gap_neumann_trace(annulus_neumann_solution(R), R)
 
 
 @pytest.mark.parametrize("order", [1, 4, 8, 16, 32])
 def test_gradient_identity_random_data(order):
     rng = np.random.default_rng(order)
     for _ in range(5):
-        pairing, gradient_form = gradient_identity(random_boundary_data(order, rng), R)
+        pairing, gradient_form = gradient_identity(random_boundary_data(order, rng), R, W)
         assert abs(pairing - gradient_form) <= 1e-10
 
 
 def test_gradient_identity_single_modes():
     # Only cos(theta) produces a nonzero pairing: -2 pi / R = -pi at R = 2.
-    pairing, gradient_form = gradient_identity(BoundaryData.mode(1, "cos"), R)
+    pairing, gradient_form = gradient_identity(BoundaryData.mode(1, "cos"), R, W)
     assert_allclose(pairing, -np.pi, rtol=1e-14)
     assert_allclose(gradient_form, -np.pi, rtol=1e-14)
     for g in (BoundaryData.mode(0, "cos"), BoundaryData.mode(2, "cos"), BoundaryData.mode(3, "sin")):
-        pairing, gradient_form = gradient_identity(g, R)
+        pairing, gradient_form = gradient_identity(g, R, W)
         assert pairing == 0.0
         assert gradient_form == 0.0
 
@@ -69,8 +76,9 @@ def test_gradient_form_is_the_lift_gradient_bit_for_bit():
     data += [BoundaryData.mode(1, "cos", -1.0), BoundaryData([0.0, -0.0], [0.0, 0.0])]
     data += [random_boundary_data(int(rng.integers(1, 1025)), rng) for _ in range(100)]
     for radius in (1.0000001, 1.5, 2.0, 3.0, math.pi, 1e10, 1e154, 1e300, np.finfo(float).max):
+        w = gap_neumann_trace(annulus_neumann_solution(radius), radius)
         for g in data:
-            _, gradient_form = gradient_identity(g, radius)
+            _, gradient_form = gradient_identity(g, radius, w)
             lift = dirichlet_disk_solve(g, radius)
             expected = -2.0 * np.pi * float(series_grad(lift, (0.0, 0.0))[0])
             assert gradient_form.hex() == expected.hex(), (radius, g.max_order)
@@ -78,11 +86,8 @@ def test_gradient_form_is_the_lift_gradient_bit_for_bit():
 
 def test_gradient_identity_detects_perturbation():
     g = BoundaryData.mode(1, "cos")
-    from nrtlab.harmonic import annulus_neumann_solution, gap_neumann_trace
-
-    w = gap_neumann_trace(annulus_neumann_solution(R), R)
-    w = BoundaryData(w.cos_coeff * 1.01, w.sin_coeff * 1.01)
-    pairing, gradient_form = gradient_identity(g, R, w_trace=w)
+    w = BoundaryData(W.cos_coeff * 1.01, W.sin_coeff * 1.01)
+    pairing, gradient_form = gradient_identity(g, R, w)
     assert abs(pairing - gradient_form) > 1e-3
 
 
@@ -319,10 +324,12 @@ def test_enclosure_float64_path_accuracy():
 
 
 def test_enclosure_validation():
-    for tau in (0.0, -1.0, np.nan, np.inf, 1.01 * MAX_TAU):
+    # Below the smallest normal float64 the value leaves enclosure_bound, so 5e-324 and 1e-310 are refused.
+    for tau in (0.0, -1.0, np.nan, np.inf, 1.01 * MAX_TAU, 5e-324, 1e-310):
         with pytest.raises(ValueError):
             enclosure_indicator(tau, 0.0, R)
     enclosure_indicator(MAX_TAU, 0.0, R)
+    enclosure_indicator(np.finfo(float).tiny, 0.0, R)
     with pytest.raises(ValueError):
         enclosure_indicator(1.0, np.nan, R)
     with pytest.raises(ValueError):
@@ -334,13 +341,14 @@ def test_enclosure_sweep_samples_stay_within_their_bound_of_the_decay():
     # beta / tau of log(2 pi tau) / tau, plus the rounding of the log and
     # of the division by tau.
     eps = np.finfo(float).eps
-    samples = enclosure_sweep([1.0, 10.0, 20.0, 50.0, 100.0], 0.0, R)
-    assert isinstance(samples, tuple) and [s.tau for s in samples] == [1.0, 10.0, 20.0, 50.0, 100.0]
-    for sample in samples:
-        exact = np.log(2.0 * np.pi * sample.tau) / sample.tau
-        slack = (enclosure_bound(sample.tau, R) + 2.0 * eps) / sample.tau + 2.0 * eps * abs(exact)
-        assert abs(sample.log_over_tau - exact) <= slack
-    decay = [s.log_over_tau for s in samples]
+    taus = [1.0, 10.0, 20.0, 50.0, 100.0]
+    values = enclosure_sweep(taus, 0.0, R)
+    assert isinstance(values, tuple) and len(values) == len(taus)
+    decay = [float(np.log(abs(value)) / tau) for tau, value in zip(taus, values)]
+    for tau, rate in zip(taus, decay):
+        exact = np.log(2.0 * np.pi * tau) / tau
+        slack = (enclosure_bound(tau, R) + 2.0 * eps) / tau + 2.0 * eps * abs(exact)
+        assert abs(rate - exact) <= slack
     assert all(b < a for a, b in zip(decay, decay[1:]))
 
 
@@ -385,7 +393,7 @@ def test_enclosure_bound_follows_rho():
 
 def test_enclosure_sweep_preconditions():
     # One frequency is a grid: nothing is fitted across the samples.
-    assert [s.tau for s in enclosure_sweep([7.0], 0.0, R)] == [7.0]
+    assert enclosure_sweep([7.0], 0.0, R) == (enclosure_indicator(7.0, 0.0, R),)
     with pytest.raises(ValueError):
         enclosure_sweep([], 0.0, R)
     with pytest.raises(ValueError):

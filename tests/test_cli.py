@@ -101,6 +101,27 @@ def test_json_payload_shape(tmp_path):
     )
 
 
+JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def json_leaves(value):
+    """Every value nested in dicts and lists, containers included."""
+    yield value
+    children = value.values() if type(value) is dict else value if type(value) is list else ()
+    for child in children:
+        yield from json_leaves(child)
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_summary_and_config_echo_hold_only_json_types(tmp_path, command):
+    # write_outputs converts no numpy scalar, so none may reach the JSON.
+    cfg = cli.load_config(None, {"out_dir": str(tmp_path)})
+    _, summary, failures, _ = cli.RUNNERS[command](cfg)
+    assert failures == []
+    for value in (*json_leaves(summary), *json_leaves(cfg.echo())):
+        assert type(value) in JSON_TYPES, (command, type(value), value)
+
+
 def test_indicator_summary_does_not_grow_with_the_orders(tmp_path):
     # The per-order values live in indicator.csv only, so no summary list
     # is longer than the number of regions.
@@ -879,3 +900,15 @@ def test_runge_run_loads_no_fft(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+
+def test_runge_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Pins the default configuration only: at runge_order 96 with eight
+    # t_values the last digits of some columns move with the thread count.
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "nrtlab.cli", "runge", "--out", str(out)], capture_output=True, check=True, env=env)
+        outputs.append([read(out / f"runge{suffix}") for suffix in (".csv", ".json", ".svg")])
+    assert outputs[0] == outputs[1]
