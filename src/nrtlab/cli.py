@@ -12,15 +12,16 @@ configuration was unusable; a run that exits 2 writes nothing.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,78 +77,6 @@ MAX_SEED = 2**64 - 1
 
 class ConfigError(ValueError):
     """Raised when the merged configuration cannot drive an experiment."""
-
-
-def _default_regions() -> list:
-    return [
-        {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5, "expect": "Bounded"},
-        {"shape": "disk", "center": [1.3, 0.0], "radius": 0.25, "expect": "BlowUp"},
-    ]
-
-
-def _default_runge_region() -> dict:
-    return {"shape": "disk", "center": [1.3, 0.0], "radius": 0.25}
-
-
-@dataclass
-class RunConfig:
-    """Merged defaults, config file and command line flags."""
-
-    boundary_radius: float = 2.0
-    eps: float = 1e-3
-    seed: int = 7
-    out_dir: str = "out"
-    regions: list = field(default_factory=_default_regions)
-    orders: list = field(default_factory=lambda: [4, 8, 16, 24, 32])
-    t_values: list = field(default_factory=lambda: [0.5, 0.25, 0.125])
-    runge_order: int = 32
-    runge_region: dict = field(default_factory=_default_runge_region)
-    tau_values: list = field(default_factory=lambda: [1.0, 10.0, 20.0, 50.0, 100.0])
-    enclosure_phi: float = 0.0
-    y3_values: list = field(default_factory=lambda: [0.2, 0.1, 0.05])
-    sign_half_width: float = 1.0
-    sign_resolution: int = 101
-    sign_patch_radius: float = 1.0
-    identity_samples: int = 50
-    identity_max_order: int = 32
-
-    def echo(self) -> dict:
-        # out_dir is an output location, not experiment configuration;
-        # leaving it out keeps files byte-identical across destinations.
-        out = {}
-        for f in fields(self):
-            if f.name != "out_dir":
-                out[f.name] = getattr(self, f.name)
-        return out
-
-
-def load_config(path: Path | None, overrides: dict) -> RunConfig:
-    """Build a RunConfig from a JSON file plus non-None flag overrides.
-
-    Every field, default or not, then holds what its SCHEMA check returns.
-    """
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}; known keys are {sorted(known)}")
-        for key, value in raw.items():
-            setattr(cfg, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    for f in fields(cfg):
-        setattr(cfg, f.name, SCHEMA[f.name](getattr(cfg, f.name), f.name))
-    return cfg
 
 
 def _integer(value, name: str, lo: int, hi: int) -> int:
@@ -240,28 +169,54 @@ def _region(value, name: str, keys=("shape", "center", "radius", "expect")) -> d
     return value
 
 
-# The check of every RunConfig field: check(value, name) returns the
-# value the field holds, or raises ConfigError.  The README lists the
-# same types, bounds and caps.
-SCHEMA = {
-    "boundary_radius": partial(_number, above=1.0),
-    "eps": partial(_number, above=0.0),
-    "seed": partial(_integer, lo=0, hi=MAX_SEED),
-    "out_dir": _out_dir,
-    "regions": partial(_list, item=_region, hi=MAX_REGIONS),
-    "orders": partial(_validated, item=partial(_integer, lo=1, hi=MAX_SWEEP_ORDER), validate=validate_orders),
-    "t_values": partial(_decreasing, lo=3, hi=MAX_T_VALUES),
-    "runge_order": partial(_integer, lo=1, hi=MAX_RUNGE_ORDER),
-    "runge_region": partial(_region, keys=("shape", "center", "radius")),
-    "tau_values": partial(_validated, item=_number, validate=validate_taus, hi=MAX_TAU_VALUES),
-    "enclosure_phi": _number,
-    "y3_values": partial(_decreasing, lo=1, hi=MAX_SIGN_HEIGHTS),
-    "sign_half_width": partial(_number, above=0.0),
-    "sign_resolution": _resolution,
-    "sign_patch_radius": partial(_number, above=0.0),
-    "identity_samples": partial(_integer, lo=1, hi=MAX_IDENTITY_SAMPLES),
-    "identity_max_order": partial(_integer, lo=1, hi=MAX_IDENTITY_ORDER),
+# Every config field as name: (default, check).  check(value, name)
+# returns the value the field holds, or raises ConfigError.  The README
+# lists the same defaults, types, bounds and caps.
+FIELDS = {
+    "boundary_radius": (2.0, partial(_number, above=1.0)),
+    "eps": (1e-3, partial(_number, above=0.0)),
+    "seed": (7, partial(_integer, lo=0, hi=MAX_SEED)),
+    "out_dir": ("out", _out_dir),
+    "regions": ([{"shape": "disk", "center": [0.0, 0.0], "radius": 0.5, "expect": "Bounded"},
+                 {"shape": "disk", "center": [1.3, 0.0], "radius": 0.25, "expect": "BlowUp"}],
+                partial(_list, item=_region, hi=MAX_REGIONS)),
+    "orders": ([4, 8, 16, 24, 32], partial(_validated, item=partial(_integer, lo=1, hi=MAX_SWEEP_ORDER), validate=validate_orders)),
+    "t_values": ([0.5, 0.25, 0.125], partial(_decreasing, lo=3, hi=MAX_T_VALUES)),
+    "runge_order": (32, partial(_integer, lo=1, hi=MAX_RUNGE_ORDER)),
+    "runge_region": ({"shape": "disk", "center": [1.3, 0.0], "radius": 0.25}, partial(_region, keys=("shape", "center", "radius"))),
+    "tau_values": ([1.0, 10.0, 20.0, 50.0, 100.0], partial(_validated, item=_number, validate=validate_taus, hi=MAX_TAU_VALUES)),
+    "enclosure_phi": (0.0, _number),
+    "y3_values": ([0.2, 0.1, 0.05], partial(_decreasing, lo=1, hi=MAX_SIGN_HEIGHTS)),
+    "sign_half_width": (1.0, partial(_number, above=0.0)),
+    "sign_resolution": (101, _resolution),
+    "sign_patch_radius": (1.0, partial(_number, above=0.0)),
+    "identity_samples": (50, partial(_integer, lo=1, hi=MAX_IDENTITY_SAMPLES)),
+    "identity_max_order": (32, partial(_integer, lo=1, hi=MAX_IDENTITY_ORDER)),
 }
+
+
+def load_config(path: Path | None, overrides: dict) -> SimpleNamespace:
+    """Merge the FIELDS defaults, a JSON file and non-None flag overrides.
+
+    The defaults are copied, so a run cannot alter them.  Every field,
+    default or not, then holds what its check returns, in FIELDS order.
+    """
+    merged = {name: copy.deepcopy(default) for name, (default, _) in FIELDS.items()}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(raw) - set(FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; known keys are {sorted(FIELDS)}")
+        merged.update(raw)
+    merged.update((key, value) for key, value in overrides.items() if value is not None)
+    return SimpleNamespace(**{name: check(merged[name], name) for name, (_, check) in FIELDS.items()})
 
 
 def _parse_region(entry: dict, boundary_radius: float, label: str) -> DiskRegion:
@@ -305,7 +260,7 @@ def _column_text(values) -> list[str]:
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
 
 
-def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: RunConfig) -> None:
+def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: SimpleNamespace) -> None:
     """Write <name>.csv and <name>.json under out_dir, creating it if needed.
 
     table maps each CSV column name, in order, to that column's values
@@ -318,9 +273,12 @@ def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: 
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(table))
         writer.writerows(zip(*columns, strict=True))
+    # out_dir is an output location, not experiment configuration;
+    # leaving it out keeps files byte-identical across destinations.
+    echo = {key: value for key, value in vars(config).items() if key != "out_dir"}
     payload = {
         "experiment": name,
-        "config": _jsonify(config.echo()),
+        "config": _jsonify(echo),
         "summary": _jsonify(summary),
     }
     json_path = out_dir / f"{name}.json"
@@ -329,7 +287,7 @@ def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: 
         fh.write("\n")
 
 
-def run_verify_identity(cfg: RunConfig) -> tuple:
+def run_verify_identity(cfg: SimpleNamespace) -> tuple:
     """Check the pairing identity on fixed modes plus random boundary data."""
     R = cfg.boundary_radius
     w = gap_neumann_trace(annulus_neumann_solution(R), R)
@@ -369,7 +327,7 @@ def run_verify_identity(cfg: RunConfig) -> tuple:
     return table, summary, failures, chart
 
 
-def run_indicator(cfg: RunConfig) -> tuple:
+def run_indicator(cfg: SimpleNamespace) -> tuple:
     """Sweep the constrained sup over cutoff orders for each test region."""
     parsed = []
     for i, entry in enumerate(cfg.regions):
@@ -421,7 +379,7 @@ def run_indicator(cfg: RunConfig) -> tuple:
     return table, summary, failures, chart
 
 
-def run_runge(cfg: RunConfig) -> tuple:
+def run_runge(cfg: SimpleNamespace) -> tuple:
     """Drive the blow-up route with shifted log potentials as t -> 0.
 
     The verdict is BlowUp when every t's runge_order fit certifies its
@@ -513,7 +471,7 @@ def run_runge(cfg: RunConfig) -> tuple:
     return table, summary, failures, chart
 
 
-def run_sign_map(cfg: RunConfig) -> tuple:
+def run_sign_map(cfg: SimpleNamespace) -> tuple:
     """Map the restricted kernel signs over decreasing heights; every cell must have the closed-form sign."""
     heights = cfg.y3_values
     half_width = cfg.sign_half_width
@@ -570,7 +528,7 @@ def run_sign_map(cfg: RunConfig) -> tuple:
     return table, summary, failures, chart
 
 
-def run_enclosure(cfg: RunConfig) -> tuple:
+def run_enclosure(cfg: SimpleNamespace) -> tuple:
     """Sweep complex exponential probes and compare each with the closed form within its bound."""
     taus = cfg.tau_values
     phi = cfg.enclosure_phi
@@ -635,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in RUNNERS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory (default: out)")
+        p.add_argument("--out", default=None, dest="out_dir", metavar="OUT",
+                       help=f"output directory (default: {FIELDS['out_dir'][0]})")
         p.add_argument("--R", type=float, default=None, dest="boundary_radius", help="ambient disk radius (> 1)")
         p.add_argument("--eps", type=float, default=None, help="constraint radius for the lifted data")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized cases")
@@ -644,12 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "boundary_radius": args.boundary_radius,
-        "eps": args.eps,
-        "seed": args.seed,
-        "out_dir": str(args.out) if args.out is not None else None,
-    }
+    overrides = {key: value for key, value in vars(args).items() if key in FIELDS}
     try:
         cfg = load_config(args.config, overrides)
         started = time.perf_counter()

@@ -39,7 +39,8 @@ class _Canvas:
         )
 
     def polyline(self, xs, ys, stroke):
-        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+        # xs and ys are arrays; Python floats format faster than numpy scalars, to the same text.
+        pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs.tolist(), ys.tolist()))
         self.parts.append(f'<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="1.6"/>')
 
     def circle(self, cx, cy, r, fill="none", stroke="none", width=1.0, dash=None):

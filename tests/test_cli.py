@@ -1,11 +1,13 @@
 """End-to-end CLI runs: outputs, determinism and exit codes."""
 
+import copy
 import csv
-import dataclasses
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,7 +120,7 @@ def test_summary_and_config_echo_hold_only_json_types(tmp_path, command):
     cfg = cli.load_config(None, {"out_dir": str(tmp_path)})
     _, summary, failures, _ = cli.RUNNERS[command](cfg)
     assert failures == []
-    for value in (*json_leaves(summary), *json_leaves(cfg.echo())):
+    for value in (*json_leaves(summary), *json_leaves(vars(cfg))):
         assert type(value) in JSON_TYPES, (command, type(value), value)
 
 
@@ -241,7 +243,7 @@ CONFIG_ERRORS = [
     # 2 pi / t overflows the float64 range below t = 3.5e-308.
     ("runge", {"t_values": [3e-308, 2e-308, 1.5e-308]}),
 ]
-FIELDS = {f.name for f in dataclasses.fields(cli.RunConfig)}
+FIELDS = set(cli.FIELDS)
 
 
 @pytest.mark.parametrize("command,config", CONFIG_ERRORS, ids=[f"config{i}" for i in range(len(CONFIG_ERRORS))])
@@ -392,8 +394,8 @@ def test_runge_default_ts_within_1e_5_at_order_32(tmp_path):
     out = tmp_path / "out"
     assert main(["runge", "--out", str(out)]) == EXIT_OK
     rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
-    assert [float(row["N_or_t"]) for row in rows] == cli.RunConfig().t_values
-    assert cli.RunConfig().runge_order == 32
+    assert [float(row["N_or_t"]) for row in rows] == cli.FIELDS["t_values"][0]
+    assert cli.FIELDS["runge_order"][0] == 32
     assert all(float(row["rel_err"]) <= 1e-5 for row in rows)
 
 
@@ -411,10 +413,39 @@ def test_unwritable_out_dir_is_config_error(tmp_path, monkeypatch, capsys):
 
 
 def test_load_config_checks_every_field_once():
-    assert list(cli.SCHEMA) == [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert list(vars(cli.load_config(None, {}))) == list(cli.FIELDS)
     cfg = cli.load_config(None, {"eps": 1, "seed": 3})
     assert cfg.eps == 1.0 and isinstance(cfg.eps, float) and cfg.seed == 3
     assert cfg.t_values == [0.5, 0.25, 0.125] and cfg.orders == [4, 8, 16, 24, 32]
+
+
+def test_loaded_configs_share_no_defaults():
+    # A run that alters its config leaves the next load's defaults as they were.
+    cfg = cli.load_config(None, {})
+    cfg.regions[0]["radius"] = 0.75
+    cfg.orders.append(64)
+    fresh = cli.load_config(None, {})
+    assert fresh.regions[0]["radius"] == 0.5 and fresh.orders == [4, 8, 16, 24, 32]
+    for name, (default, check) in cli.FIELDS.items():
+        before = copy.deepcopy(default)
+        checked = check(default, name)
+        assert checked == before == default and type(checked) is type(default), name
+
+
+def test_readme_field_table_lists_every_field_and_its_default():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| field | type | default |"):]
+    rows = [line.split("|")[1:-1] for line in itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()[2:])]
+    names = [cells[0].strip().strip("`") for cells in rows]
+    assert names == list(cli.FIELDS)
+    # Defaults too long for a cell sit in the first JSON block under the table.
+    below = json.loads(re.search(r"```json\n(.*?)\n```", table, re.S).group(1))
+    assert set(below) == {name for name, cells in zip(names, rows) if cells[2].strip() == "below"}
+    for name, cells in zip(names, rows):
+        cell = cells[2].strip()
+        value = below[name] if cell == "below" else json.loads(cell.strip("`"))
+        # Compared as JSON text, so 2 and 2.0 differ.
+        assert json.dumps(value) == json.dumps(cli.FIELDS[name][0]), name
 
 
 def test_indicator_with_every_value_inf_writes_finite_ticks(tmp_path):

@@ -1,6 +1,5 @@
 """Property tests of the config schema: any JSON value either passes its check or is a config error."""
 
-import dataclasses
 import json
 import math
 import sys
@@ -12,7 +11,7 @@ from nrtlab import cli
 from nrtlab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, ConfigError, load_config, main
 from nrtlab.indicator import MAX_RUNGE_ORDER
 
-FIELDS = [f.name for f in dataclasses.fields(cli.RunConfig)]
+FIELDS = list(cli.FIELDS)
 
 # Arbitrary JSON, with the numbers that sit on or beyond the edges of a
 # float64 and of the schema's bounds.
@@ -34,7 +33,7 @@ decreasing = increasing.map(lambda values: values[::-1])
 distances = st.builds(
     lambda m, e: m * 10.0**e, st.floats(min_value=1.0, max_value=9.99), st.integers(min_value=-300, max_value=0)
 )
-AMBIENT = cli.RunConfig().boundary_radius
+AMBIENT = cli.FIELDS["boundary_radius"][0]
 # Disks whose |c| + rho lies a relative 1e-12 to 1e-8 below the default
 # boundary_radius, where only exact arithmetic tells inside from touching:
 # admissible unless the rounding of these floats reaches r = R.
@@ -125,7 +124,7 @@ def test_load_config_returns_checked_fields_or_config_error(tmp_path, config):
         return
     for name in FIELDS:
         value = getattr(cfg, name)
-        assert cli.SCHEMA[name](value, name) == value
+        assert cli.FIELDS[name][1](value, name) == value
 
 
 INDICATOR = ["boundary_radius", "eps", "regions", "orders"]

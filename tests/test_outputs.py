@@ -92,7 +92,7 @@ def reference_sign_panels(path, fields, title="", panel_size=260, gap=24):
 
 
 def assert_csv_matches_reference(tmp_path, table):
-    cli.write_outputs(tmp_path / "new", "t", table, {}, cli.RunConfig())
+    cli.write_outputs(tmp_path / "new", "t", table, {}, cli.load_config(None, {}))
     reference_csv(tmp_path / "reference.csv", table)
     assert (tmp_path / "new" / "t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
