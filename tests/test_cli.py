@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -313,7 +314,47 @@ def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
     row = next(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
     assert float(row["pairing"]) <= 0.0 and summary["certified_lower"][0] <= 0.0
     assert any(line.startswith(f"t={first}: pairing") and "misses 2 pi / t" in line for line in summary["failures"])
+    assert any(line.startswith(f"t={first}: pairing") and "above the run's accuracy target 0.01" in line
+               for line in summary["failures"])
     assert any(line.startswith(f"t={first}: certified bound") and "not below 1" in line for line in summary["failures"])
+
+
+def test_runge_lift_check_does_not_read_eps(tmp_path):
+    # The lift obeys ||z_g|| <= eps exactly when ||P||_G <= 2 ||E_t||_G, so
+    # the fits that pass at eps 1e-3 pass at every eps, down to the
+    # smallest subnormal, where the scaled columns keep no digits.
+    eps_free = ["N_or_t", "pairing", "target", "rel_err", "pairing_bound", "residual", "probe_norm_G", "zg_norm_G",
+                "log10_max_g"]
+    columns = []
+    for eps in (5e-324, 1e-323, 1e-300, 1e-3, 1.0, 1e300):
+        out = tmp_path / repr(eps)
+        assert main(["runge", "--eps", repr(eps), "--out", str(out)]) == EXIT_OK, eps
+        rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+        columns.append([[row[name] for name in eps_free] for row in rows])
+    assert all(c == columns[0] for c in columns)
+
+
+@pytest.mark.parametrize("rel,code", [(1e-9, EXIT_CHECK_FAILED), (-1e-9, EXIT_OK)])
+def test_runge_lift_just_outside_the_constraint_fails(tmp_path, monkeypatch, rel, code):
+    # A lift norm a relative 1e-9 above 2 ||E_t||_G leaves the constraint,
+    # one 1e-9 below keeps to it: the check's rounding margin is far smaller.
+    real_fit = cli.runge_fit
+
+    def moved(*args):
+        fit = real_fit(*args)
+        return dataclasses.replace(fit, zg_norm_on_G=2.0 * fit.norm_on_G * (1.0 + rel))
+
+    monkeypatch.setattr(cli, "runge_fit", moved)
+    out = tmp_path / "out"
+    assert main(["runge", "--out", str(out)]) == code
+    summary = json.loads((out / "runge.json").read_text())["summary"]
+    if code == EXIT_OK:
+        assert summary["failures"] == []
+    else:
+        t_values = cli.FIELDS["t_values"][0]
+        assert [line.split(": lift norm ||P||_G = ")[0] for line in summary["failures"]] == [f"t={t}" for t in t_values]
+        assert all(line.endswith("so the lift leaves the constraint ||z_g||_H1(G) <= eps") for line in summary["failures"])
+    assert summary["verdict"] == "BlowUp"
 
 
 def test_runge_certified_lower_bound_at_the_defaults(tmp_path):
@@ -410,6 +451,24 @@ def test_unwritable_out_dir_is_config_error(tmp_path, monkeypatch, capsys):
         assert main(["enclosure", "--out", str(out)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("config error: out_dir") and "Traceback" not in err
+
+
+def test_out_dir_that_cannot_be_created_is_config_error(tmp_path, monkeypatch, capsys):
+    # The path passes _out_dir's check, as /proc/x/y does for root, but
+    # creating it fails after the run: exit 2, no traceback, no file.
+    out = tmp_path / "out"
+    real_mkdir = Path.mkdir
+
+    def refuse(self, *args, **kwargs):
+        if self == out:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    assert main(["enclosure", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_dir") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_config_checks_every_field_once():
