@@ -423,15 +423,14 @@ def run_runge(cfg: SimpleNamespace) -> tuple:
             # The table ends at runge_order, so fit, pairing and rel_err are that fit's.
             if not fit.norm_on_G > 0.0:
                 raise ValueError("probe norm on the test region vanishes; cannot scale")
-            # The data are P scaled by eps / (2 ||E_t||_G).
-            scaled_value = -2.0 * np.pi * (fit.dx_p0 * (cfg.eps / (2.0 * fit.norm_on_G)))
-            if not math.isfinite(scaled_value):
-                raise ValueError(f"the scaled pairing {scaled_value} leaves the float64 range")
         except FloatingPointError as exc:
             raise ConfigError(f"{where}: the Runge fit leaves the float64 range ({exc})") from exc
-        except ValueError as exc:  # a refused geometry, a probe norm on G that underflowed to 0, or an overflow
+        except ValueError as exc:  # a refused geometry or a probe norm on G that underflowed to 0
             raise ConfigError(f"{where}: {exc}") from exc
         convergence.append(table_t)
+        # The data are P scaled by eps / (2 ||E_t||_G).  No check reads the scaled
+        # columns, so where the product overflows they are written as inf.
+        scaled_value = -2.0 * np.pi * (fit.dx_p0 * (cfg.eps / (2.0 * fit.norm_on_G)))
         # The verdict column is set once every t is fitted.
         rows.append({"N_or_t": t, "eps": cfg.eps, "value": scaled_value, "verdict": None, "pairing": pairing,
                      "target": target, "rel_err": rel_err, "pairing_bound": fit.pairing_bound, "residual": fit.residual,

@@ -83,15 +83,6 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class OriginOnBoundaryError(ValueError):
-    """Raised when the test region boundary passes through the origin.
-
-    The indicator dichotomy needs the origin to be strictly inside or
-    strictly outside the region; on the boundary neither closed form
-    applies, so sweeps refuse to run.
-    """
-
-
 class GramConditioningError(RuntimeError):
     """Raised when a Gram matrix fails the positive-semidefinite check."""
 
@@ -388,7 +379,7 @@ def indicator_sweep(cavity: DiskRegion, boundary_radius: float, eps: float, orde
     orders = validate_orders(orders)
     where = cavity.classify_origin()
     if where is OriginLocation.BOUNDARY:
-        raise OriginOnBoundaryError(
+        raise ValueError(
             f"boundary of disk(center={cavity.center}, radius={cavity.radius}) passes through "
             f"the origin; the sweep verdict is undefined there"
         )

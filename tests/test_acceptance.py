@@ -7,31 +7,27 @@ scorecard, so a plain pytest run always shows one line per criterion.
 
 import numpy as np
 
-from nrtlab import (
-    DiskRegion,
-    HarmonicSeries,
-    IndicatorCurve,
-    Verdict,
-    annulus_neumann_solution,
-    blow_up_diagnostic,
-    boundary_pairing,
-    build_disk_quadrature,
-    dirichlet_disk_solve,
+from nrtlab.checks import (
     enclosure_bound,
     enclosure_closed_form,
     enclosure_indicator,
     enclosure_sweep,
-    gap_neumann_trace,
     gradient_identity,
-    indicator_sweep,
-    log_slope,
     probe_kernel,
-    random_boundary_data,
-    runge_fit,
+    sign_cell_counts,
     sign_indefiniteness_certificate,
     sign_map,
 )
-from nrtlab.checks import sign_cell_counts
+from nrtlab.geometry import DiskRegion, build_disk_quadrature
+from nrtlab.harmonic import (
+    HarmonicSeries,
+    annulus_neumann_solution,
+    boundary_pairing,
+    dirichlet_disk_solve,
+    gap_neumann_trace,
+    random_boundary_data,
+)
+from nrtlab.indicator import IndicatorCurve, Verdict, blow_up_diagnostic, indicator_sweep, log_slope, runge_fit
 from reference import CircleContour, contour_green_pairing, h1_inner, scaled_sequence
 
 R = 2.0

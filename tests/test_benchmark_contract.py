@@ -9,8 +9,10 @@ calls runs on no program path (the slope diagnostic, the pairing of a
 fit's boundary data), so only these tests keep a change to the package
 from breaking it.  cli-suite also scores the CLI's output files, so the
 summary keys, config keys and CSV columns it reads are pinned here.
-Last, a guard lists every function in src/ that no default subcommand
-calls, so src/ holds the program plus what perfbench names, and no more.
+The package's top level binds exactly the names perfbench reads as
+nrtlab.<name>.  Last, a guard lists every function in src/ that no
+default subcommand calls, so src/ holds the program plus what perfbench
+names, and no more.
 """
 
 import ast
@@ -21,10 +23,12 @@ import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -86,21 +90,63 @@ def test_probe_route_scoring_calls_still_run():
     assert isinstance(blow_up_diagnostic(curve), Verdict)
 
 
-def test_setup_code_runs_and_calls_what_it_names():
-    # run.py times each workload's set-up code in a fresh process.
-    import nrtlab
-
+def setup_code() -> dict:
+    """run.py's SETUP_CODE: each workload's set-up code, timed in a fresh process."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())
-    setup = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "SETUP_CODE" for target in node.targets)
     )
+
+
+def test_setup_code_runs_and_calls_what_it_names():
+    import nrtlab
+
+    setup = setup_code()
     called = {name for code in setup.values() for name in re.findall(r"nrtlab\.(\w+)\(", code)}
     assert called == {"indicator_sweep", "DiskRegion", "runge_fit", "enclosure_indicator"}
     assert all(callable(getattr(nrtlab, name, None)) for name in called)
     for code in setup.values():
         exec(code, {})
+
+
+def read_off_nrtlab(tree: ast.AST) -> set:
+    """Every name read as nrtlab.<name> in the code of tree; prose does not count."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "nrtlab"
+    }
+
+
+def test_top_level_binds_only_what_perfbench_reads():
+    # Every other name is imported from its module, so each has one binding;
+    # a change that stops perfbench reading a name drops it from nrtlab too.
+    import nrtlab
+
+    submodules = {module.name for module in pkgutil.iter_modules(nrtlab.__path__)}
+    trees = [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
+    trees += [ast.parse(code) for code in setup_code().values()]
+    read = set().union(*map(read_off_nrtlab, trees)) - submodules
+    assert len(nrtlab.__all__) == len(set(nrtlab.__all__))
+    assert set(nrtlab.__all__) == read | {"__version__"}
+    public = {name for name, value in vars(nrtlab).items() if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public <= set(nrtlab.__all__)
+
+
+def test_bare_import_binds_the_submodules_the_workloads_read():
+    # perfbench/workloads.py imports nrtlab alone and then reads nrtlab.<module>.<name>.
+    import nrtlab
+
+    submodules = {module.name for module in pkgutil.iter_modules(nrtlab.__path__)}
+    read = read_off_nrtlab(ast.parse((PERFBENCH / "workloads.py").read_text())) & submodules
+    assert read == {"checks", "geometry", "harmonic", "indicator"}
+    code = "import json, sys, types, nrtlab; print(json.dumps([isinstance(getattr(nrtlab, n, None), types.ModuleType) for n in sys.argv[1:]]))"
+    src = str(Path(nrtlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *sorted(read)], capture_output=True, text=True, check=True, env=env)
+    assert json.loads(proc.stdout) == [True] * len(read)
 
 
 def test_enclosure_observer_resolves_its_import():

@@ -319,19 +319,39 @@ def test_runge_nonpositive_pairing_is_a_failed_check(tmp_path, capsys, config):
     assert any(line.startswith(f"t={first}: certified bound") and "not below 1" in line for line in summary["failures"])
 
 
+# The runge.csv columns that eps does not enter.
+RUNGE_EPS_FREE = ["N_or_t", "pairing", "target", "rel_err", "pairing_bound", "residual", "probe_norm_G", "zg_norm_G",
+                  "log10_max_g"]
+
+
+def runge_rows_at(tmp_path, eps):
+    """The default runge's CSV rows at eps, after checking that it exits 0."""
+    out = tmp_path / repr(eps)
+    assert main(["runge", "--eps", repr(eps), "--out", str(out)]) == EXIT_OK, eps
+    return list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
+
+
 def test_runge_lift_check_does_not_read_eps(tmp_path):
     # The lift obeys ||z_g|| <= eps exactly when ||P||_G <= 2 ||E_t||_G, so
     # the fits that pass at eps 1e-3 pass at every eps, down to the
     # smallest subnormal, where the scaled columns keep no digits.
-    eps_free = ["N_or_t", "pairing", "target", "rel_err", "pairing_bound", "residual", "probe_norm_G", "zg_norm_G",
-                "log10_max_g"]
     columns = []
     for eps in (5e-324, 1e-323, 1e-300, 1e-3, 1.0, 1e300):
-        out = tmp_path / repr(eps)
-        assert main(["runge", "--eps", repr(eps), "--out", str(out)]) == EXIT_OK, eps
-        rows = list(csv.DictReader(io.StringIO((out / "runge.csv").read_text())))
-        columns.append([[row[name] for name in eps_free] for row in rows])
+        columns.append([[row[name] for name in RUNGE_EPS_FREE] for row in runge_rows_at(tmp_path, eps)])
     assert all(c == columns[0] for c in columns)
+
+
+def test_runge_writes_overflowed_scaled_data_as_inf(tmp_path, capsys):
+    # No check reads the eps-scaled value and zg_scaled_norm, so where their
+    # products overflow they are written as inf and the run passes, up to
+    # the largest finite eps, with the eps-free columns of eps 1e-3.
+    rows = {eps: runge_rows_at(tmp_path, eps) for eps in (1e-3, 1e306, 1e307, 1e308, sys.float_info.max)}
+    expected = [[row[name] for name in RUNGE_EPS_FREE] for row in rows[1e-3]]
+    for eps, got in rows.items():
+        assert [[row[name] for name in RUNGE_EPS_FREE] for row in got] == expected, eps
+    assert all(math.isfinite(float(row["value"])) for row in rows[1e306])
+    assert [row["value"] for row in rows[1e308]] == ["inf"] * len(rows[1e308])
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rel,code", [(1e-9, EXIT_CHECK_FAILED), (-1e-9, EXIT_OK)])
@@ -809,8 +829,6 @@ def test_runge_geometry_violation_is_config_error(tmp_path):
         # The probe's H1 norm on a region this small underflows to 0.
         {"runge_region": {"center": [1.3, 0.0], "radius": 1e-300}},
         {"runge_region": {"center": [1.3, 0.0], "radius": 1e-200}},
-        # -2 pi dx P(0) times eps / (2 ||E_t||) overflows.
-        {"eps": 1e308},
     ],
 )
 def test_runge_scaled_data_out_of_float_range_is_config_error(tmp_path, capsys, config):

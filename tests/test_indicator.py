@@ -28,7 +28,6 @@ from nrtlab.indicator import (
     GramConditioningError,
     GramSystem,
     IndicatorCurve,
-    OriginOnBoundaryError,
     Verdict,
     assemble_gram,
     blow_up_diagnostic,
@@ -354,7 +353,7 @@ def test_series_pairings_match_the_gap_trace(radius):
 
 
 def test_indicator_sweep_refuses_origin_on_boundary():
-    with pytest.raises(OriginOnBoundaryError):
+    with pytest.raises(ValueError, match="passes through the origin"):
         indicator_sweep(DiskRegion((0.5, 0.0), 0.5), R, EPS, [4, 8])
 
 
