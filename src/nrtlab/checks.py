@@ -71,12 +71,21 @@ def probe_kernel(x1, x2, y3: float):
     This is -d^2/dy3^2 of 1/|x - y| evaluated at x = (x1, x2, 0) and
     y = (0, 0, y3), up to the constant 4 pi of the fundamental
     solution normalization, which is irrelevant for signs.
+
+    With d^2 = x1^2 + x2^2 + y3^2, the denominator d^5 is formed as
+    d^2 d^2 sqrt(d^2): two products and a correctly rounded root, so its
+    bits do not depend on which of numpy's power loops the CPU selects,
+    as those of d^2 ** 2.5 do, and it is within 3u of d^5 (u = 2^-53)
+    wherever it is a normal float.  d^2 d^2 is itself normal for
+    1.5e-154 < d^2 < 1.3e154, which holds every d^2 where d^5 is neither
+    0 nor inf (about 3.6e-130 < d^2 < 2.0e123), so the product underflows
+    to 0 and overflows where d^5 does, up to that rounding.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     rho_sq = x1 * x1 + x2 * x2
     dist_sq = rho_sq + y3 * y3
-    return -(2.0 * y3 * y3 - rho_sq) / dist_sq**2.5
+    return -(2.0 * y3 * y3 - rho_sq) / (dist_sq * dist_sq * np.sqrt(dist_sq))
 
 
 @dataclass(frozen=True)
@@ -157,9 +166,11 @@ def sign_cell_counts(field: SignField) -> tuple[int, int, int, int, tuple[float,
     fl(2 y3^2) within u 2 y3^2, so their difference, here and in the
     kernel's numerator alike, has the exact sign where it exceeds
     2u (|x|^2 + 2 y3^2); the third unit covers the band test's own
-    roundings and the second-order terms.  A subnormal square errs by at
-    most 2^-1075, far inside the band wherever the kernel's d^5,
-    d^2 = |x|^2 + y3^2, has not underflowed to 0, which takes d^2 > 3e-130.
+    roundings and the second-order terms.  kappa reads only the
+    numerator: the kernel's denominator d^5, d^2 = |x|^2 + y3^2, is
+    positive however it is formed (probe_kernel), and changes no sign.
+    A subnormal square errs by at most 2^-1075, far inside the band
+    wherever d^5 has not underflowed to 0, which takes d^2 > 3e-130.
     Outside the band the numerator is at least kappa u d^2, so the
     quotient is at least kappa u / d^3 > 3e-202 wherever d^5 did not
     overflow (then d^3 < 1e186): it cannot underflow to a signless zero.

@@ -6,7 +6,8 @@ Its runner only computes; main alone decides pass or fail and writes
 config alone (timing goes to stdout only), so reruns with the same
 config produce byte-identical files.  Exit code 0 means all checks
 passed, 1 means only that a check or verdict failed, and 2 means the
-configuration was unusable; a run that exits 2 writes nothing.
+configuration or out_dir was unusable; a run that exits 2 leaves
+out_dir's files as they were, unless one of the final renames failed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -264,31 +266,37 @@ def _column_text(values) -> list[str]:
     return [repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in values]
 
 
-def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: SimpleNamespace) -> None:
-    """Write <name>.csv and <name>.json under out_dir, creating it if needed.
+def write_outputs(out_dir: Path, name: str, table: dict, summary: dict, config: SimpleNamespace, chart) -> None:
+    """Write <name>.csv, .json and, by chart(path), .svg under out_dir, creating it if needed.
 
     table maps each CSV column name, in order, to that column's values
     (a sequence or an ndarray); all columns must have the same length.
+    A target that exists and is not a regular file is refused first.  The
+    files are staged in out_dir and renamed into place, csv first, so an
+    OSError before the first rename leaves out_dir's files as they were.
     """
-    columns = [_column_text(values) for values in table.values()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{name}.csv"
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(table))
-        writer.writerows(zip(*columns, strict=True))
-    # out_dir is an output location, not experiment configuration;
-    # leaving it out keeps files byte-identical across destinations.
-    echo = {key: value for key, value in vars(config).items() if key != "out_dir"}
-    payload = {
-        "experiment": name,
-        "config": _jsonify(echo),
-        "summary": _jsonify(summary),
-    }
-    json_path = out_dir / f"{name}.json"
-    with open(json_path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    targets = [out_dir / f"{name}.{suffix}" for suffix in ("csv", "json", "svg")]
+    for path in targets:
+        if path.exists() and not path.is_file():
+            raise OSError(f"{path} exists and is not a regular file")
+    with tempfile.TemporaryDirectory(dir=out_dir) as staging:
+        staged = [Path(staging) / path.name for path in targets]
+        with open(staged[0], "w", newline="", encoding="ascii") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(list(table))
+            # The formatted columns go once written, before chart draws the SVG.
+            writer.writerows(zip(*[_column_text(values) for values in table.values()], strict=True))
+        # out_dir is an output location, not experiment configuration;
+        # leaving it out keeps files byte-identical across destinations.
+        echo = {key: value for key, value in vars(config).items() if key != "out_dir"}
+        payload = {"experiment": name, "config": _jsonify(echo), "summary": _jsonify(summary)}
+        with open(staged[1], "w", encoding="ascii") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        chart(staged[2])
+        for source, target in zip(staged, targets):
+            os.replace(source, target)
 
 
 def run_verify_identity(cfg: SimpleNamespace) -> tuple:
@@ -629,16 +637,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
     passed = not failures
     summary.update(failures=failures, passed=passed)
-    out_dir = Path(cfg.out_dir)
     # _out_dir refuses the common cases before the run; a path that passes
-    # os.access yet cannot hold a directory (as root, under /proc) ends here.
+    # os.access yet cannot hold the files (as root, under /proc) ends here.
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        write_outputs(Path(cfg.out_dir), args.command, table, summary, cfg, chart)
     except OSError as exc:
-        print(f"config error: out_dir {cfg.out_dir!r} cannot be created: {exc}", file=sys.stderr)
+        print(f"config error: out_dir {cfg.out_dir!r} cannot be written: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    write_outputs(out_dir, args.command, table, summary, cfg)
-    chart(out_dir / f"{args.command}.svg")
     elapsed = time.perf_counter() - started
     print(f"[{args.command}] {'PASS' if passed else 'FAIL'} in {elapsed:.2f}s, outputs in {cfg.out_dir}")
     for line in failures:

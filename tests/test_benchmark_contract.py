@@ -243,6 +243,33 @@ def test_cli_outputs_keep_what_cli_suite_scores(tmp_path, command):
         assert math.isfinite(summary["phi"])
 
 
+@pytest.mark.parametrize("command", sorted(SCORED_COLUMNS))
+def test_outputs_are_in_place_when_write_outputs_returns(tmp_path, monkeypatch, command):
+    # tracing._outputs sizes <out_dir>/<name>.csv and .json, taken from the
+    # bound arguments, right after the traced write_outputs returns; they
+    # must already be the files the run leaves.
+    import nrtlab.cli as cli
+
+    tracing = load_tracing()
+    seen = []
+
+    def observe(span, args, result):
+        stem = Path(args["out_dir"]) / args["name"]
+        seen.append({suffix: Path(f"{stem}.{suffix}").read_bytes() for suffix in ("csv", "json")})
+        return tracing._outputs(span, args, result)
+
+    recorder = tracing.Recorder()
+    wrapper = recorder.wrap("cli.write_outputs", cli.write_outputs, observe)
+    for space, key in tracing._bindings(cli.write_outputs):
+        monkeypatch.setitem(space, key, wrapper)
+    out = tmp_path / "out"
+    assert cli.main([command, "--out", str(out)]) == 0
+    (files,) = seen
+    assert {suffix: (out / f"{command}.{suffix}").read_bytes() for suffix in files} == files
+    (span,) = recorder.spans
+    assert span.counts == {"bytes": sum(map(len, files.values()))}
+
+
 # Every function in src/nrtlab/*.py that none of the five default
 # subcommands calls, with the ROADMAP item that deletes it and, for a
 # helper, the entry point through which the benchmark reaches it.  Item

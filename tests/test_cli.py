@@ -1,5 +1,6 @@
 """End-to-end CLI runs: outputs, determinism and exit codes."""
 
+import builtins
 import copy
 import csv
 import dataclasses
@@ -489,6 +490,72 @@ def test_out_dir_that_cannot_be_created_is_config_error(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("config error: out_dir") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def faulty_write(monkeypatch, out, fail_at):
+    """Count the os.mkdir, open and os.replace calls on paths under out; the fail_at-th raises OSError."""
+    calls = []
+    for module, name in ((os, "mkdir"), (builtins, "open"), (os, "replace")):
+        def call(path, *args, real=getattr(module, name), name=name, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and (Path(path) == out or out in Path(path).parents):
+                calls.append((name, Path(path)))
+                if len(calls) == fail_at:
+                    raise OSError(28, "No space left on device", str(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+    return calls
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_a_failed_write_exits_2_and_moves_no_file_it_did_not_finish(tmp_path, monkeypatch, capsys, command):
+    # Each file-system call of the write fails in turn, on an out_dir that
+    # holds an earlier run's files.  The runner's result is computed once
+    # and reused, since only the write is under test.
+    result = cli.RUNNERS[command](cli.load_config(None, {}))
+    monkeypatch.setitem(cli.RUNNERS, command, lambda cfg: result)
+    names = [f"{command}{suffix}" for suffix in (".csv", ".json", ".svg")]
+    old = {name: f"earlier {name}\n".encode() for name in names}
+
+    def run(fail_at):
+        out = tmp_path / f"out{fail_at}"
+        out.mkdir()
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+        with monkeypatch.context() as patch:
+            calls = faulty_write(patch, out, fail_at)
+            code = main([command, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+        return out, code, err, calls, {name: (out / name).read_bytes() for name in names}
+
+    out, code, err, calls, new = run(0)
+    assert code == EXIT_OK and err == ""
+    # out_dir, the staging directory, the three files, then the renames in write order.
+    assert [name for name, _ in calls] == ["mkdir", "mkdir"] + ["open"] * 3 + ["replace"] * 3
+    assert calls[0][1] == out and [path.name for name, path in calls[-3:]] == names
+    for fail_at in range(1, len(calls) + 1):
+        out, code, err, _, files = run(fail_at)
+        if fail_at == 1:
+            # A failed mkdir of the existing out_dir is absorbed by exist_ok.
+            assert code == EXIT_OK and err == "" and files == new
+            continue
+        assert code == EXIT_CONFIG_ERROR
+        assert err.startswith(f"config error: out_dir {str(out)!r} cannot be written: ") and err.count("\n") == 1
+        moved = [path.name for name, path in calls[: fail_at - 1] if name == "replace"]
+        assert files == {name: new[name] if name in moved else old[name] for name in names}
+
+
+def test_a_directory_in_place_of_an_output_file_is_config_error(tmp_path, capsys):
+    # Refused before any file moves: runge.csv keeps its bytes and nothing is created.
+    out = tmp_path / "out"
+    (out / "runge.json").mkdir(parents=True)
+    (out / "runge.csv").write_text("earlier\n")
+    assert main(["runge", "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out_dir") and str(out / "runge.json") in err and err.count("\n") == 1
+    assert sorted(path.name for path in out.iterdir()) == ["runge.csv", "runge.json"]
+    assert (out / "runge.csv").read_text() == "earlier\n" and list((out / "runge.json").iterdir()) == []
 
 
 def test_load_config_checks_every_field_once():
@@ -1020,3 +1087,28 @@ def test_runge_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         subprocess.run([sys.executable, "-m", "nrtlab.cli", "runge", "--out", str(out)], capture_output=True, check=True, env=env)
         outputs.append([read(out / f"runge{suffix}") for suffix in (".csv", ".json", ".svg")])
     assert outputs[0] == outputs[1]
+
+
+def test_sign_map_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # The kernel's d^5 is d^2 d^2 sqrt(d^2), whose bits no dispatched numpy
+    # loop changes.  Each child turns off the host's highest dispatch
+    # targets, as a CPU without them would have, and reports what it kept.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    enabled = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    code = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__\n"
+        "from nrtlab.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*[name for name in __cpu_dispatch__ if __cpu_features__[name]])\n"
+        "sys.exit(code)\n"
+    )
+    outputs = []
+    for kept in range(len(enabled), -1, -1):
+        out = tmp_path / str(kept)
+        env = {**child_env(), "NPY_DISABLE_CPU_FEATURES": " ".join(enabled[kept:])}
+        proc = subprocess.run([sys.executable, "-c", code, "sign-map", "--out", str(out)], capture_output=True, text=True, check=True, env=env)
+        assert proc.stderr == "" and proc.stdout.splitlines()[-1].split() == enabled[:kept]
+        outputs.append([read(out / f"sign-map{suffix}") for suffix in (".csv", ".json", ".svg")])
+    assert all(output == outputs[0] for output in outputs)

@@ -92,7 +92,7 @@ def reference_sign_panels(path, fields, title="", panel_size=260, gap=24):
 
 
 def assert_csv_matches_reference(tmp_path, table):
-    cli.write_outputs(tmp_path / "new", "t", table, {}, cli.load_config(None, {}))
+    cli.write_outputs(tmp_path / "new", "t", table, {}, cli.load_config(None, {}), lambda path: path.write_text(""))
     reference_csv(tmp_path / "reference.csv", table)
     assert (tmp_path / "new" / "t.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -211,9 +211,9 @@ def test_default_tables_match_row_wise_reference(tmp_path, monkeypatch, command)
     tables = []
     write = cli.write_outputs
 
-    def capture(out_dir, name, table, summary, config):
+    def capture(out_dir, name, table, summary, config, chart):
         tables.append(table)
-        write(out_dir, name, table, summary, config)
+        write(out_dir, name, table, summary, config, chart)
 
     monkeypatch.setattr(cli, "write_outputs", capture)
     out = tmp_path / "out"
